@@ -2,8 +2,9 @@
 //!
 //! Real networks drop, delay, duplicate, and truncate; peers vanish
 //! mid-call. A [`FaultPlan`] is a seeded, reproducible schedule of such
-//! faults that [`crate::client::DlibClient`] applies between the framed
-//! codec and the socket (see [`DlibClient::set_fault_plan`]). The chaos
+//! faults that [`crate::client::DlibClient`] applies as it hands a call to
+//! [`crate::wire::write_frame_parts`] (a torn frame is that writer told to
+//! stop early; see [`DlibClient::set_fault_plan`]). The chaos
 //! tests drive random plans against a live server and assert the
 //! resilience layer (deadlines, poisoning, reconnect-and-resync, session
 //! reaping) converges back to a correct state.

@@ -18,11 +18,11 @@
 //! do it for you.
 
 use crate::chaos::{FaultAction, FaultPlan};
-use crate::message::{Call, Reply};
-use crate::wire::{len_u32, write_frame, FrameAccumulator};
+use crate::message::{write_envelope, Reply, ENVELOPE_LEN};
+use crate::wire::FrameAccumulator;
 use crate::{DlibError, Result};
 use bytes::Bytes;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -54,7 +54,7 @@ impl Default for ClientConfig {
 /// conversation on a dedicated thread, per figure 9.
 pub struct DlibClient {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     acc: FrameAccumulator,
     config: ClientConfig,
     next_seq: u64,
@@ -95,10 +95,9 @@ impl DlibClient {
                                    // their deadline re-armed per call below.
         stream.set_write_timeout(config.call_timeout)?;
         let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream);
         Ok(DlibClient {
             reader,
-            writer,
+            writer: stream,
             acc: FrameAccumulator::new(),
             config,
             next_seq: 1,
@@ -144,12 +143,7 @@ impl DlibClient {
     fn call_inner(&mut self, procedure: u32, args: &[u8]) -> Result<Bytes> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let call = Call {
-            seq,
-            procedure,
-            args: Bytes::copy_from_slice(args),
-        };
-        self.send_frame(&call.encode())?;
+        self.send_call(seq, procedure, args)?;
         let deadline = self.config.call_timeout.map(|t| Instant::now() + t);
         loop {
             if let Some(d) = deadline {
@@ -182,38 +176,36 @@ impl DlibClient {
         }
     }
 
-    /// Write one call frame, applying the fault schedule when installed.
-    fn send_frame(&mut self, payload: &Bytes) -> Result<()> {
+    /// Write one call frame, applying the fault schedule when installed;
+    /// every arm is the one vectored writer, `args` go out uncopied.
+    fn send_call(&mut self, seq: u64, procedure: u32, args: &[u8]) -> Result<()> {
         let action = match &mut self.fault {
-            Some(plan) => plan.next_action(payload.len()),
+            Some(plan) => plan.next_action(ENVELOPE_LEN + args.len()),
             None => FaultAction::Deliver,
         };
+        let mut send = |keep| write_envelope(&mut self.writer, seq, procedure, &[args], keep);
         match action {
-            FaultAction::Deliver => write_frame(&mut self.writer, payload),
+            FaultAction::Deliver => send(usize::MAX),
             FaultAction::Drop => Ok(()), // swallowed; the deadline will notice
             FaultAction::Delay(d) => {
                 #[allow(clippy::disallowed_methods)]
                 // injected-fault delay: the chaos transport deliberately stalls this call
                 std::thread::sleep(d);
-                write_frame(&mut self.writer, payload)
+                send(usize::MAX)
             }
             FaultAction::Duplicate => {
-                write_frame(&mut self.writer, payload)?;
-                write_frame(&mut self.writer, payload)
+                send(usize::MAX)?;
+                send(usize::MAX)
             }
             FaultAction::Truncate(keep) => {
                 // Announce the full frame, deliver only a prefix, then
                 // kill the link: the peer sees a mid-frame disconnect.
-                let keep = keep.min(payload.len());
-                let _ = self.writer.write_all(&len_u32(payload.len()).to_le_bytes());
-                // lint:allow(panic-path): `keep` is clamped to payload.len() above
-                let _ = self.writer.write_all(&payload[..keep]);
-                let _ = self.writer.flush();
-                let _ = self.writer.get_ref().shutdown(Shutdown::Both);
+                let _ = send(keep);
+                let _ = self.writer.shutdown(Shutdown::Both);
                 Err(DlibError::Disconnected)
             }
             FaultAction::Disconnect => {
-                let _ = self.writer.get_ref().shutdown(Shutdown::Both);
+                let _ = self.writer.shutdown(Shutdown::Both);
                 Err(DlibError::Disconnected)
             }
         }
@@ -353,7 +345,7 @@ mod tests {
     #[test]
     fn clean_error_replies_do_not_poison() {
         let mut server = DlibServer::new(());
-        server.register(1, |_, _, _| Err("deliberate".into()));
+        server.register(1, |_, _, _| Err::<Bytes, _>("deliberate".into()));
         server.register(2, |_, _, args| Ok(Bytes::copy_from_slice(args)));
         let handle = server.serve("127.0.0.1:0").unwrap();
         let mut c = DlibClient::connect(handle.addr()).unwrap();

@@ -20,8 +20,9 @@
 //!
 //! The crate provides:
 //!
-//! * [`wire`] — length-prefixed binary framing over any byte stream,
-//! * [`message`] — the call/reply envelope,
+//! * [`wire`] — length-prefixed binary framing over any byte stream; one
+//!   vectored writer sends every frame,
+//! * [`message`] — the call/reply envelope and the segmented [`Payload`],
 //! * [`server`] — multi-connection TCP server with a **single serial
 //!   dispatcher** over persistent, typed server state,
 //! * [`client`] — blocking call interface,
@@ -42,7 +43,7 @@ pub mod wire;
 
 pub use chaos::{FaultAction, FaultConfig, FaultPlan};
 pub use client::{ClientConfig, DlibClient};
-pub use message::{Call, Reply, Status};
+pub use message::{Call, Payload, Reply, Status};
 pub use resilient::{ReconnectingClient, RetryPolicy};
 pub use server::{
     DisconnectReason, DlibServer, ServerConfig, ServerHandle, Session, SessionEvent, PROC_PING,

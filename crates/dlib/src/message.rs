@@ -7,9 +7,10 @@
 //! windtunnel layers its own command encoding on top), exactly as the
 //! original dlib generated stubs around untyped transport.
 
-use crate::wire::{WireReader, WireWrite};
+use crate::wire::{len_u32, write_frame_parts, WireReader, WireWrite};
 use crate::{DlibError, Result};
 use bytes::{Bytes, BytesMut};
+use std::io::Write;
 
 /// Outcome of a remote call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +46,67 @@ impl Status {
     }
 }
 
+/// A message body as a short rope of refcounted segments: a procedure
+/// holding its result in pieces (header, cached blobs, tail) returns the
+/// pieces and one `writev` sends them unjoined. Segmentation is invisible
+/// on the wire and to `==` (which joins; only tests compare replies).
+#[derive(Debug, Clone, Default)]
+pub struct Payload {
+    /// In wire order.
+    pub segments: Vec<Bytes>,
+}
+
+impl Payload {
+    pub fn len(&self) -> usize {
+        self.segments.iter().map(Bytes::len).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The body as one buffer: free for a single segment (every decoded
+    /// message), a concatenating copy otherwise.
+    pub fn into_bytes(mut self) -> Bytes {
+        match self.segments.len() {
+            1 => self.segments.pop().unwrap_or_default(),
+            _ => Bytes::from(self.segments.concat()),
+        }
+    }
+}
+
+impl From<Bytes> for Payload {
+    fn from(b: Bytes) -> Payload {
+        Payload { segments: vec![b] }
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        self.segments.concat() == other.segments.concat()
+    }
+}
+
+/// Bytes of envelope header ahead of a call's args or a reply's body.
+pub(crate) const ENVELOPE_LEN: usize = 16;
+
+/// Send one call or reply: the envelope header (`seq`, procedure id or
+/// status, body length) from the stack, the body by reference.
+pub(crate) fn write_envelope<B: AsRef<[u8]>>(
+    w: &mut impl Write,
+    seq: u64,
+    tag: u32,
+    body: &[B],
+    keep: usize,
+) -> Result<()> {
+    let body_len = body.iter().map(|b| b.as_ref().len()).sum();
+    let mut head = [0u8; ENVELOPE_LEN];
+    head[..8].copy_from_slice(&seq.to_le_bytes());
+    head[8..12].copy_from_slice(&tag.to_le_bytes());
+    head[12..].copy_from_slice(&len_u32(body_len).to_le_bytes());
+    write_frame_parts(w, &head, body, keep)
+}
+
 /// A remote procedure call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Call {
@@ -57,6 +119,12 @@ pub struct Call {
 }
 
 impl Call {
+    /// Frame and send this call with one vectored write.
+    pub fn write_to(&self, w: &mut impl Write) -> Result<()> {
+        write_envelope(w, self.seq, self.procedure, &[&self.args], usize::MAX)
+    }
+
+    /// The oracle tests hold [`Call::write_to`] to; nothing sends it.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(16 + self.args.len());
         b.put_u64_le_(self.seq);
@@ -91,15 +159,15 @@ impl Call {
 pub struct Reply {
     pub seq: u64,
     pub status: Status,
-    pub payload: Bytes,
+    pub payload: Payload,
 }
 
 impl Reply {
-    pub fn ok(seq: u64, payload: Bytes) -> Reply {
+    pub fn ok(seq: u64, payload: impl Into<Payload>) -> Reply {
         Reply {
             seq,
             status: Status::Ok,
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -107,7 +175,7 @@ impl Reply {
         Reply {
             seq,
             status: Status::Error,
-            payload: Bytes::copy_from_slice(message.as_bytes()),
+            payload: Bytes::copy_from_slice(message.as_bytes()).into(),
         }
     }
 
@@ -116,15 +184,22 @@ impl Reply {
         Reply {
             seq,
             status: Status::Busy,
-            payload: Bytes::new(),
+            payload: Payload::default(),
         }
     }
 
+    /// Frame and send this reply with one vectored write.
+    pub fn write_to(&self, w: &mut impl Write) -> Result<()> {
+        let tag = self.status.to_u32();
+        write_envelope(w, self.seq, tag, &self.payload.segments, usize::MAX)
+    }
+
+    /// The oracle tests hold [`Reply::write_to`] to; nothing sends it.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(20 + self.payload.len());
         b.put_u64_le_(self.seq);
         b.put_u32_le_(self.status.to_u32());
-        b.put_bytes_(&self.payload);
+        b.put_bytes_(&self.payload.clone().into_bytes());
         b.freeze()
     }
 
@@ -140,7 +215,7 @@ impl Reply {
             return Err(DlibError::Protocol("trailing bytes after reply".into()));
         }
         // Zero-copy: the payload is a view of the incoming frame buffer.
-        let payload = buf.slice(buf.len() - len..);
+        let payload = buf.slice(buf.len() - len..).into();
         Ok(Reply {
             seq,
             status,
@@ -151,10 +226,10 @@ impl Reply {
     /// Convert into the caller-facing result.
     pub fn into_result(self) -> Result<Bytes> {
         match self.status {
-            Status::Ok => Ok(self.payload),
+            Status::Ok => Ok(self.payload.into_bytes()),
             Status::UnknownProcedure => Err(DlibError::Remote("unknown procedure".into())),
             Status::Error => Err(DlibError::Remote(
-                String::from_utf8_lossy(&self.payload).into_owned(),
+                String::from_utf8_lossy(&self.payload.into_bytes()).into_owned(),
             )),
             Status::Busy => Err(DlibError::Busy),
         }
@@ -197,9 +272,8 @@ mod tests {
             Err(DlibError::Remote(m)) if m == "bad"
         ));
         let unknown = Reply {
-            seq: 1,
             status: Status::UnknownProcedure,
-            payload: Bytes::new(),
+            ..Reply::busy(1)
         };
         assert!(matches!(
             unknown.into_result(),
@@ -221,7 +295,7 @@ mod tests {
         let r = Reply {
             seq: 2,
             status: Status::Error,
-            payload: Bytes::from_static(&[0xff, 0xfe]),
+            payload: Bytes::from_static(&[0xff, 0xfe]).into(),
         };
         // Lossy conversion, never a panic or a Protocol error.
         assert!(matches!(r.into_result(), Err(DlibError::Remote(_))));

@@ -28,10 +28,9 @@
 //!
 //! [`Status::Busy`]: crate::message::Status::Busy
 
-use crate::message::{Call, Reply};
-use crate::wire::{write_frame, FrameAccumulator};
+use crate::message::{Call, Payload, Reply, Status};
+use crate::wire::FrameAccumulator;
 use crate::{DlibError, Result};
-use bytes::Bytes;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -64,6 +63,9 @@ pub enum DisconnectReason {
     ProtocolError(String),
     /// The session went silent past the configured heartbeat deadline.
     TimedOut,
+    /// The peer stopped reading: a reply could not be written within
+    /// [`ServerConfig::write_timeout`].
+    WriteTimedOut,
     /// The server itself is shutting down.
     ServerShutdown,
 }
@@ -74,6 +76,7 @@ impl std::fmt::Display for DisconnectReason {
             DisconnectReason::ClosedByPeer => write!(f, "closed by peer"),
             DisconnectReason::ProtocolError(m) => write!(f, "protocol error: {m}"),
             DisconnectReason::TimedOut => write!(f, "heartbeat deadline missed"),
+            DisconnectReason::WriteTimedOut => write!(f, "reply write deadline missed"),
             DisconnectReason::ServerShutdown => write!(f, "server shutdown"),
         }
     }
@@ -102,7 +105,7 @@ pub struct ServerConfig {
     /// deadlines; bounds reaping latency.
     pub poll_interval: Duration,
     /// Deadline for writing one reply to a client that has stopped
-    /// reading; elapsing drops that connection.
+    /// reading; elapsing ends it with [`DisconnectReason::WriteTimedOut`].
     pub write_timeout: Option<Duration>,
     /// Incremented once per call shed with `Busy`. Share the `Arc` to
     /// observe shedding (the windtunnel's governor cuts frame detail when
@@ -123,10 +126,10 @@ impl Default for ServerConfig {
 }
 
 /// A registered remote procedure: gets exclusive state access, the calling
-/// session, and the raw argument bytes; returns result bytes or an error
-/// message that becomes `Status::Error` at the client.
+/// session, and the raw argument bytes; returns the result body or an
+/// error message that becomes `Status::Error` at the client.
 pub type Procedure<S> =
-    Box<dyn Fn(&mut S, Session, &[u8]) -> std::result::Result<Bytes, String> + Send>;
+    Box<dyn Fn(&mut S, Session, &[u8]) -> std::result::Result<Payload, String> + Send>;
 
 type EventHook<S> = Box<dyn FnMut(&mut S, Session, SessionEvent) + Send>;
 
@@ -160,12 +163,17 @@ impl<S: Send + 'static> DlibServer<S> {
 
     /// Register a procedure under a numeric id (replaces any previous
     /// registration of the same id). Ids at `0xFFFF_0000` and above are
-    /// reserved for built-ins like [`PROC_PING`].
-    pub fn register<F>(&mut self, id: u32, f: F) -> &mut Self
+    /// reserved for built-ins like [`PROC_PING`]. The result converts
+    /// into a [`Payload`]: one `Bytes`, or a rope of them sent unjoined.
+    pub fn register<F, P>(&mut self, id: u32, f: F) -> &mut Self
     where
-        F: Fn(&mut S, Session, &[u8]) -> std::result::Result<Bytes, String> + Send + 'static,
+        F: Fn(&mut S, Session, &[u8]) -> std::result::Result<P, String> + Send + 'static,
+        P: Into<Payload>,
     {
-        self.procedures.insert(id, Box::new(f));
+        self.procedures.insert(
+            id,
+            Box::new(move |state, session, args| f(state, session, args).map(Into::into)),
+        );
         self
     }
 
@@ -217,9 +225,8 @@ impl<S: Send + 'static> DlibServer<S> {
                                     Err(msg) => Reply::error(call.seq, &msg),
                                 },
                                 None => Reply {
-                                    seq: call.seq,
-                                    status: crate::message::Status::UnknownProcedure,
-                                    payload: Bytes::new(),
+                                    status: Status::UnknownProcedure,
+                                    ..Reply::busy(call.seq)
                                 },
                             };
                             // A dead connection just drops its replies.
@@ -311,7 +318,7 @@ fn spawn_connection(
     config: ServerConfig,
 ) {
     let (reply_tx, reply_rx): (Sender<Reply>, Receiver<Reply>) = unbounded();
-    let write_stream = match stream.try_clone() {
+    let mut write_stream = match stream.try_clone() {
         Ok(s) => s,
         Err(e) => {
             // lint:allow(hygiene): connection-fatal error path, not per-frame
@@ -322,15 +329,23 @@ fn spawn_connection(
             return;
         }
     };
+    // Each reply is one write; the kernel must not hold its tail back.
+    let _ = stream.set_nodelay(true);
     // A client that stopped reading must not pin the writer forever.
     let _ = write_stream.set_write_timeout(config.write_timeout);
-    // Writer: drains the reply queue in dispatch order.
+    let write_timed_out = Arc::new(AtomicBool::new(false));
+    let writer_timed_out = Arc::clone(&write_timed_out);
+    // Writer: drains the reply queue in dispatch order, so a slow client
+    // backs up its own queue and never the dispatcher.
     let writer = std::thread::Builder::new()
         .name(format!("dlib-write-{}", session.client_id))
         .spawn(move || {
-            let mut w = std::io::BufWriter::new(write_stream);
             while let Ok(reply) = reply_rx.recv() {
-                if write_frame(&mut w, &reply.encode()).is_err() {
+                if let Err(e) = reply.write_to(&mut write_stream) {
+                    // Mid-frame and unusable: close it, so the reader
+                    // reaps the session now and not at a heartbeat deadline.
+                    writer_timed_out.store(matches!(e, DlibError::Timeout), Ordering::SeqCst);
+                    let _ = write_stream.shutdown(Shutdown::Both);
                     break;
                 }
             }
@@ -359,7 +374,11 @@ fn spawn_connection(
             {
                 return;
             }
-            let reason = read_loop(&stream, session, &job_tx, &reply_tx, &shutdown, &config);
+            let mut reason = read_loop(&stream, session, &job_tx, &reply_tx, &shutdown, &config);
+            if write_timed_out.load(Ordering::SeqCst) {
+                // The EOF the read loop saw was the writer giving up.
+                reason = DisconnectReason::WriteTimedOut;
+            }
             if !matches!(
                 reason,
                 DisconnectReason::ClosedByPeer | DisconnectReason::ServerShutdown
@@ -485,7 +504,8 @@ impl Drop for ServerHandle {
 mod tests {
     use super::*;
     use crate::client::DlibClient;
-    use crate::message::Status;
+    use crate::wire::write_frame;
+    use bytes::Bytes;
     use parking_lot::Mutex;
 
     const PROC_APPEND: u32 = 1;
@@ -500,7 +520,9 @@ mod tests {
             Ok(Bytes::new())
         });
         server.register(PROC_READ, |state, _s, _| Ok(Bytes::copy_from_slice(state)));
-        server.register(PROC_FAIL, |_state, _s, _| Err("deliberate".into()));
+        server.register(PROC_FAIL, |_state, _s, _| {
+            Err::<Bytes, _>("deliberate".into())
+        });
         server.register(PROC_WHOAMI, |_state, s, _| {
             Ok(Bytes::copy_from_slice(&s.client_id.to_le_bytes()))
         });
@@ -749,6 +771,56 @@ mod tests {
         });
         assert_eq!(&healthy.call(PROC_APPEND, b"ok").unwrap()[..], b"ok");
         server.shutdown();
+    }
+
+    #[test]
+    fn reader_that_stalls_mid_reply_is_reaped_with_write_timed_out() {
+        const PROC_FLOOD: u32 = 9;
+        let events: Events = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&events);
+        let mut server = DlibServer::new(());
+        // 32 MiB as a rope of one shared 4 MiB segment: far more than
+        // loopback's socket buffers can absorb from a peer that never
+        // reads.
+        server.register(PROC_FLOOD, |_, _, _| {
+            let segments = vec![Bytes::from(vec![0u8; 4 << 20]); 8];
+            Ok(Payload { segments })
+        });
+        server.register(PROC_APPEND, |_, _, args| Ok(Bytes::copy_from_slice(args)));
+        server.on_session_event(move |_, session, event| {
+            sink.lock().push((session.client_id, event));
+        });
+        let write_timeout = Duration::from_millis(250);
+        let config = ServerConfig {
+            write_timeout: Some(write_timeout),
+            ..ServerConfig::default()
+        };
+        let handle = server.serve_with("127.0.0.1:0", config).unwrap();
+        let mut stalled = TcpStream::connect(handle.addr()).unwrap();
+        let flood = Call {
+            seq: 1,
+            procedure: PROC_FLOOD,
+            args: Bytes::new(),
+        };
+        let asked = Instant::now();
+        flood.write_to(&mut stalled).unwrap();
+        // Never read. No heartbeat deadline is configured, so only the
+        // write deadline can end this session.
+        wait_for("write-timeout disconnect", || {
+            events
+                .lock()
+                .iter()
+                .any(|(_, e)| *e == SessionEvent::Disconnected(DisconnectReason::WriteTimedOut))
+        });
+        // One write can time out twice: once after partial progress, once
+        // with none. Far beyond that (the slack is for a loaded host) the
+        // writer thread was not released.
+        assert!(asked.elapsed() < write_timeout * 2 + Duration::from_secs(2));
+        // The dispatcher never waited on that socket.
+        let mut healthy = DlibClient::connect(handle.addr()).unwrap();
+        assert_eq!(&healthy.call(PROC_APPEND, b"ok").unwrap()[..], b"ok");
+        drop(stalled);
+        handle.shutdown();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::{DlibError, Result};
 use bytes::{BufMut, Bytes, BytesMut};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Maximum frame payload: comfortably above the largest geometry frame
 /// the windtunnel ships (Table 1's 100 000 particles are 1.2 MB).
@@ -22,18 +22,58 @@ pub fn len_u32(n: usize) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }
 
-/// Write one frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    if payload.len() as u64 > MAX_FRAME as u64 {
+/// `Write::write_all_vectored` is unstable; this is the same loop — one
+/// `writev` in the common case.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Write one frame whose payload is `head` followed by the `body`
+/// segments — the only framing implementation. The stack-built prefix
+/// leaves in the same vectored write as the payload: no whole-message
+/// buffer, no flush (the sink is the socket), and never a tiny segment
+/// ahead of the rest, which Nagle and the peer's delayed ACK turn into a
+/// 40 ms stall (DESIGN.md §6.7). `keep` caps the payload bytes sent while
+/// the prefix still announces them all — the chaos transport's torn
+/// frame; real senders pass `usize::MAX`.
+pub fn write_frame_parts<B: AsRef<[u8]>>(
+    w: &mut impl Write,
+    head: &[u8],
+    body: &[B],
+    keep: usize,
+) -> Result<()> {
+    let total = head.len() + body.iter().map(|b| b.as_ref().len()).sum::<usize>();
+    if total as u64 > MAX_FRAME as u64 {
         return Err(DlibError::Protocol(format!(
-            "frame of {} bytes exceeds cap {MAX_FRAME}",
-            payload.len()
+            "frame of {total} bytes exceeds cap {MAX_FRAME}"
         )));
     }
-    w.write_all(&len_u32(payload.len()).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
+    let prefix = len_u32(total).to_le_bytes();
+    let mut slices = Vec::with_capacity(2 + body.len());
+    slices.push(IoSlice::new(&prefix));
+    let mut left = keep;
+    for seg in std::iter::once(head).chain(body.iter().map(AsRef::as_ref)) {
+        let part = seg.get(..left).unwrap_or(seg);
+        left -= part.len();
+        // An empty slice at the front would read as a closed peer.
+        if !part.is_empty() {
+            slices.push(IoSlice::new(part));
+        }
+    }
+    Ok(write_all_vectored(w, &mut slices)?)
+}
+
+/// Write one frame from a single contiguous payload.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
+    write_frame_parts::<&[u8]>(w, payload, &[], usize::MAX)
 }
 
 /// Read one frame; `Err(Disconnected)` on clean EOF at a frame boundary.

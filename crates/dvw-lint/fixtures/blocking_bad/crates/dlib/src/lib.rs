@@ -6,6 +6,7 @@ pub struct Pool {
     m: Mutex<u32>,
     tx: Sender<u32>,
     rx: Receiver<u32>,
+    sock: TcpStream,
 }
 
 impl Pool {
@@ -43,6 +44,34 @@ impl Pool {
     pub fn backoff_under_guard(&self) {
         let g = self.m.lock();
         thread::sleep(Duration::from_millis(1));
+        drop(g);
+    }
+
+    /// The vectored socket send while a guard is live.
+    pub fn writev_under_guard(&self, bufs: &[IoSlice]) {
+        let st = self.state.lock();
+        self.sock.write_vectored(bufs);
+        drop(st);
+    }
+
+    /// Interprocedural: the crate's own send loop, reached through a
+    /// bare call, under a guard.
+    fn write_all_vectored(&self, bufs: &mut [IoSlice]) {
+        while !bufs.is_empty() {
+            self.sock.write_vectored(bufs);
+        }
+    }
+
+    pub fn reply_under_guard(&self, bufs: &mut [IoSlice]) {
+        let st = self.state.lock();
+        write_all_vectored(self, bufs);
+        drop(st);
+    }
+
+    /// The std method of the same name, under a guard.
+    pub fn std_send_under_guard(&self, bufs: &mut [IoSlice]) {
+        let g = self.m.lock();
+        self.sock.write_all_vectored(bufs);
         drop(g);
     }
 }

@@ -6,6 +6,7 @@ pub struct Pool {
     state: Mutex<State>,
     tx: Sender<u32>,
     rx: Receiver<u32>,
+    sock: TcpStream,
 }
 
 impl Pool {
@@ -59,5 +60,15 @@ impl Pool {
             let _ = self.rx.recv();
         });
         drop(g);
+    }
+
+    /// Snapshot under the guard, release it, then do the socket send.
+    pub fn drop_then_writev(&self, bufs: &mut [IoSlice]) -> u32 {
+        let st = self.state.lock();
+        let seq = st.next;
+        drop(st);
+        self.sock.write_vectored(bufs);
+        self.sock.write_all_vectored(bufs);
+        seq
     }
 }

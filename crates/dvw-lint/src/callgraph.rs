@@ -24,8 +24,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Method names that block the calling thread when invoked with `.`:
 /// channel operations, thread join, condvar waits, socket/file I/O.
+/// `write_vectored` / `write_all_vectored` are dlib's socket send since
+/// its frames stopped going through `write_all` + `flush`.
 /// `lint.toml [blocking] methods` extends this set.
-pub const BLOCKING_METHODS: [&str; 10] = [
+pub const BLOCKING_METHODS: [&str; 12] = [
     "send",
     "recv",
     "recv_timeout",
@@ -36,6 +38,8 @@ pub const BLOCKING_METHODS: [&str; 10] = [
     "read_to_end",
     "write_all",
     "flush",
+    "write_vectored",
+    "write_all_vectored",
 ];
 
 /// Of the above, names that only count with an empty argument list —

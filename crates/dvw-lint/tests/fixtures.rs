@@ -177,8 +177,8 @@ fn hygiene_bad_finds_all_five() {
 #[test]
 fn blocking_bad_trips_each_construct_once() {
     let f = fixture("blocking_bad");
-    assert_eq!(count(&f, Pass::Blocking), 4, "{f:#?}");
-    assert_eq!(f.len(), 4, "only the blocking pass may fire: {f:#?}");
+    assert_eq!(count(&f, Pass::Blocking), 7, "{f:#?}");
+    assert_eq!(f.len(), 7, "only the blocking pass may fire: {f:#?}");
     assert!(
         f.iter().any(|x| x
             .msg
@@ -204,6 +204,26 @@ fn blocking_bad_trips_each_construct_once() {
             .msg
             .contains("blocks on `sleep(..)` while holding `m` guard")),
         "sleep-under-guard: {f:#?}"
+    );
+    // dlib's socket send: the vectored write itself, the crate's own
+    // send loop reached through a call, and the std method of that name.
+    assert!(
+        f.iter().any(|x| x
+            .msg
+            .contains("blocks on `.write_vectored()` while holding `state` guard")),
+        "writev-under-guard: {f:#?}"
+    );
+    assert!(
+        f.iter().any(|x| x
+            .msg
+            .contains("calls `write_all_vectored`, which may block (`.write_vectored()` at")),
+        "send loop under guard: {f:#?}"
+    );
+    assert!(
+        f.iter().any(|x| x
+            .msg
+            .contains("blocks on `.write_all_vectored()` while holding `m` guard")),
+        "std send-all under guard: {f:#?}"
     );
 }
 

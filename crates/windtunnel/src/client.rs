@@ -798,8 +798,8 @@ mod tests {
         let s0 = client.stats().unwrap();
         assert_eq!(s0.geom_misses, 1, "first frame traces the rake");
 
-        // Head-pose-only mutation: revision moves (the frame cache
-        // misses) but no geometry input changed.
+        // Head-pose-only mutation: revision moves (the frame is
+        // recomputed) but no geometry input changed.
         client
             .send(&Command::HeadPose {
                 pose: Pose::new(Vec3::new(0.0, 1.7, 5.0), Default::default()),
@@ -813,8 +813,8 @@ mod tests {
         assert!(f1.revision > f0.revision, "frame still reflects the update");
         assert_eq!(f1.paths, f0.paths, "identical geometry either way");
 
-        // Identical request again: whole-frame encoded cache hit, stats
-        // otherwise untouched.
+        // Identical request again: no recompute (counted as a frame
+        // hit), stats otherwise untouched.
         let before = client.stats().unwrap();
         client.frame(false).unwrap();
         let after = client.stats().unwrap();

@@ -360,7 +360,7 @@ struct CacheEntry {
 }
 
 /// Per-rake cache of computed wire geometry, layered beneath the
-/// server's whole-frame encoded-bytes cache. A mutation that touches one
+/// server's per-rake cache of encoded chunks. A mutation that touches one
 /// rake — or none, like a head-pose update — re-traces only what
 /// actually changed; everything else is served from here.
 #[derive(Default)]

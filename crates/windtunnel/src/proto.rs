@@ -14,9 +14,9 @@
 //! All protocol geometry is in **physical** coordinates; grid coordinates
 //! never cross the wire.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use dlib::wire::{put_f32x3_slab, WireReader, WireWrite};
-use dlib::{DlibError, Result};
+use dlib::{DlibError, Payload, Result};
 use flowfield::Dims;
 use tracer::ToolKind;
 use vecmath::{Aabb, Pose, Quat, Vec3};
@@ -554,15 +554,20 @@ impl GeometryFrame {
     /// reuse one scratch `BytesMut` instead of allocating per frame.
     pub fn encode_into(&self, b: &mut BytesMut) {
         b.reserve(64 + self.path_payload_bytes());
+        self.put_head(b);
+        for p in &self.paths {
+            put_path(b, p);
+        }
+        put_users_section(b, &self.users);
+    }
+
+    /// Everything before the first path, path count included.
+    fn put_head(&self, b: &mut BytesMut) {
         b.put_u32_le_(self.timestep);
         b.put_f32_le_(self.time);
         b.put_u64_le_(self.revision);
         put_rakes_section(b, &self.rakes);
         b.put_len_(self.paths.len());
-        for p in &self.paths {
-            put_path(b, p);
-        }
-        put_users_section(b, &self.users);
     }
 
     pub fn decode(buf: &[u8]) -> Result<GeometryFrame> {
@@ -666,6 +671,9 @@ pub struct RakeChunkMsg {
 }
 
 impl RakeChunkMsg {
+    /// Encoded bytes before the first path: id, content rev, path count.
+    const HEADER_LEN: usize = 16;
+
     pub fn encode_into(&self, b: &mut BytesMut) {
         Self::encode_parts(b, self.rake_id, self.content_rev, &self.paths);
     }
@@ -761,11 +769,7 @@ impl DeltaFrame {
         for c in &self.chunks {
             c.encode_into(b);
         }
-        b.put_len_(self.tombstones.len());
-        for id in &self.tombstones {
-            b.put_u32_le_(*id);
-        }
-        put_users_section(b, &self.users);
+        put_delta_tail(b, &self.tombstones, &self.users);
     }
 
     pub fn decode(buf: &[u8]) -> Result<DeltaFrame> {
@@ -817,42 +821,65 @@ impl DeltaFrame {
     }
 }
 
-/// Assemble a [`DeltaFrame`] reply by splicing *pre-encoded* chunk blobs
-/// (each produced by [`RakeChunkMsg::encode_parts`]) between a freshly
-/// encoded header and tail. This is how the server reuses its broadcast
-/// cache across clients: chunks are encoded once per revision, and every
-/// reply is a cheap copy of the cached bytes. The output is byte-identical
-/// to `DeltaFrame::encode` on the equivalent typed value.
+fn put_delta_tail(b: &mut BytesMut, tombstones: &[RakeId], users: &[UserMsg]) {
+    b.put_len_(tombstones.len());
+    for id in tombstones {
+        b.put_u32_le_(*id);
+    }
+    put_users_section(b, users);
+}
+
+/// A reply as a rope: the fresh bytes of `b` before and after `split`,
+/// the cached blobs between them by refcount, never copied.
+fn rope(b: BytesMut, split: usize, blobs: impl Iterator<Item = Bytes>) -> Payload {
+    let b = b.freeze();
+    let mut segments = vec![b.slice(..split)];
+    segments.extend(blobs);
+    segments.push(b.slice(split..));
+    Payload { segments }
+}
+
+/// Assemble a [`DeltaFrame`] reply around *pre-encoded* chunk blobs (each
+/// produced by [`RakeChunkMsg::encode_parts`]): the server encodes a chunk
+/// once per content change and every reply that needs it carries the
+/// cached bytes themselves. Concatenated, the rope is byte-identical to
+/// `DeltaFrame::encode` on the equivalent typed value.
 #[allow(clippy::too_many_arguments)]
 pub fn splice_delta(
-    b: &mut BytesMut,
     keyframe: bool,
     timestep: u32,
     time: f32,
     revision: u64,
     baseline: u64,
     rakes: &[RakeMsg],
-    chunk_blobs: &[Bytes],
+    chunk_blobs: Vec<Bytes>,
     tombstones: &[RakeId],
     users: &[UserMsg],
-) {
-    let blob_bytes: usize = chunk_blobs.iter().map(|c| c.len()).sum();
-    b.reserve(64 + rakes.len() * 44 + blob_bytes);
+) -> Payload {
+    let mut b = BytesMut::with_capacity(64 + rakes.len() * 44 + users.len() * 36);
     b.put_u32_le_(if keyframe { DELTA_FLAG_KEYFRAME } else { 0 });
     b.put_u32_le_(timestep);
     b.put_f32_le_(time);
     b.put_u64_le_(revision);
     b.put_u64_le_(baseline);
-    put_rakes_section(b, rakes);
+    put_rakes_section(&mut b, rakes);
     b.put_len_(chunk_blobs.len());
-    for blob in chunk_blobs {
-        b.put_slice(blob);
-    }
-    b.put_len_(tombstones.len());
-    for id in tombstones {
-        b.put_u32_le_(*id);
-    }
-    put_users_section(b, users);
+    let split = b.len();
+    put_delta_tail(&mut b, tombstones, users);
+    rope(b, split, chunk_blobs.into_iter())
+}
+
+/// Assemble a full [`GeometryFrame`] reply around the same blobs: past
+/// its header a chunk is the full-frame encoding of its rake's paths, and
+/// `chunk_blobs` (every rake of `frame`, ascending id) follows
+/// `frame.paths` order. The rope is byte-identical to `frame.encode()`.
+pub fn splice_frame(frame: &GeometryFrame, chunk_blobs: Vec<Bytes>) -> Payload {
+    let mut b = BytesMut::with_capacity(64 + frame.rakes.len() * 44 + frame.users.len() * 36);
+    frame.put_head(&mut b);
+    let split = b.len();
+    put_users_section(&mut b, &frame.users);
+    let paths = |c: Bytes| c.slice(RakeChunkMsg::HEADER_LEN.min(c.len())..);
+    rope(b, split, chunk_blobs.into_iter().map(paths))
 }
 
 // ---------------------------------------------------------------------
@@ -883,7 +910,7 @@ pub struct FrameStats {
     pub cum_geom_hits: u64,
     /// Lifetime per-rake geometry cache misses.
     pub cum_geom_misses: u64,
-    /// Lifetime whole-frame encoded-bytes cache hits.
+    /// Lifetime FRAME requests that found their revision already computed.
     pub cum_frame_hits: u64,
     /// Lifetime frames served.
     pub cum_frames: u64,
@@ -1496,20 +1523,39 @@ mod tests {
             })
             .collect();
         // Assemble the reply by splicing the cached blobs.
-        let mut spliced = BytesMut::new();
-        splice_delta(
-            &mut spliced,
+        let spliced = splice_delta(
             delta.keyframe,
             delta.timestep,
             delta.time,
             delta.revision,
             delta.baseline,
             &delta.rakes,
-            &blobs,
+            blobs.clone(),
             &delta.tombstones,
             &delta.users,
         );
-        assert_eq!(&spliced[..], &delta.encode()[..]);
+        assert_eq!(spliced.clone().into_bytes(), delta.encode());
+        // The blobs ride in the rope by refcount: same bytes, same address.
+        assert_eq!(spliced.segments.len(), blobs.len() + 2);
+        for (seg, blob) in spliced.segments[1..].iter().zip(&blobs) {
+            assert_eq!(seg.as_ptr(), blob.as_ptr());
+            assert_eq!(seg.len(), blob.len());
+        }
+
+        // The same blobs, headers skipped, make the full frame.
+        let frame = GeometryFrame {
+            timestep: delta.timestep,
+            time: delta.time,
+            revision: delta.revision,
+            rakes: delta.rakes.clone(),
+            paths: delta.chunks.iter().flat_map(|c| c.paths.clone()).collect(),
+            users: delta.users.clone(),
+        };
+        let full = splice_frame(&frame, blobs.clone());
+        assert_eq!(full.clone().into_bytes(), frame.encode());
+        for (seg, blob) in full.segments[1..].iter().zip(&blobs) {
+            assert_eq!(seg.as_ptr(), blob[RakeChunkMsg::HEADER_LEN..].as_ptr());
+        }
     }
 
     #[test]

@@ -6,20 +6,22 @@
 //! prefetching/caching layers hide the disk), and geometry frames go back
 //! out. One designated client "drives" the clock by passing
 //! `advance = true` in its frame requests; every other client just reads
-//! the latest state, which is served from a cache keyed on the
-//! environment revision.
+//! the latest state: the typed frame is computed once per environment
+//! revision and every reply is assembled around the shared chunk cache.
 
 use crate::compute::{compute_frame_cached, ComputeConfig, GeometryCache, ToolEngines};
 use crate::env::{EnvironmentState, RakeId, UserId};
 use crate::governor::FrameGovernor;
 use crate::interaction::{process_hand, HandStates, InteractionConfig};
 use crate::proto::{
-    splice_delta, Command, DeltaRequest, FrameRequest, FrameStats, GeometryFrame, HelloReply,
-    RakeChunkMsg, TimeCommand, PROC_COMMAND, PROC_FRAME, PROC_FRAME_DELTA, PROC_HELLO, PROC_STATS,
+    splice_delta, splice_frame, Command, DeltaRequest, FrameRequest, FrameStats, GeometryFrame,
+    HelloReply, RakeChunkMsg, TimeCommand, PROC_COMMAND, PROC_FRAME, PROC_FRAME_DELTA, PROC_HELLO,
+    PROC_STATS,
 };
 use bytes::{Bytes, BytesMut};
 use dlib::server::{DlibServer, ServerConfig, ServerHandle, Session, SessionEvent};
 use dlib::wire::len_u32;
+use dlib::Payload;
 use flowfield::CurvilinearGrid;
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -60,9 +62,9 @@ pub struct ServerOptions {
     pub queue_capacity: usize,
 }
 
-/// One rake's paths, pre-encoded for FRAME_DELTA replies. Shared across
-/// every connected client: the bytes are encoded once per content change
-/// and spliced (refcounted, not copied) into each reply that needs them.
+/// One rake's paths, pre-encoded. Shared across every connected client
+/// and both frame RPCs: encoded once per content change, and every reply
+/// that needs them carries this very buffer (refcounted) to the socket.
 struct ChunkEntry {
     /// Geometry-cache stamp the bytes were encoded from; a differing
     /// stamp means the rake's paths were re-traced since.
@@ -97,13 +99,11 @@ struct ServerState {
     frame: Option<GeometryFrame>,
     /// Wall-clock of the last fresh compute (governor input).
     compute_elapsed: Duration,
-    /// Encoded frame cache: (revision it was computed at, bytes).
-    frame_cache: Option<(u64, Bytes)>,
-    /// Per-rake geometry cache, layered beneath the frame cache: when the
-    /// revision moved but a rake's geometry inputs didn't (head pose,
-    /// another rake dragged), its paths are reused instead of re-traced.
+    /// Per-rake geometry cache: when the revision moved but a rake's
+    /// geometry inputs didn't (head pose, another rake dragged), its
+    /// paths are reused instead of re-traced.
     geom_cache: GeometryCache,
-    /// Broadcast cache of per-rake *encoded* chunks for FRAME_DELTA.
+    /// Broadcast cache of per-rake *encoded* chunks for both frame RPCs.
     chunk_cache: HashMap<RakeId, ChunkEntry>,
     /// Rakes deleted recently: (id, revision the deletion bumped to).
     tombstones: Vec<(RakeId, u64)>,
@@ -112,8 +112,6 @@ struct ServerState {
     delta_floor: u64,
     /// Per-client delta state, dropped on Goodbye.
     sessions: HashMap<UserId, DeltaSession>,
-    /// Scratch buffer frames are encoded into (reused across frames).
-    scratch: BytesMut,
     /// Pipeline stats served by [`PROC_STATS`].
     stats: FrameStats,
     /// Lifetime frame fetches served by a substituted neighbouring
@@ -126,6 +124,40 @@ struct ServerState {
 }
 
 impl ServerState {
+    fn new(
+        store: Arc<dyn TimestepStore>,
+        grid: CurvilinearGrid,
+        opts: ServerOptions,
+        shed_counter: Arc<AtomicU64>,
+    ) -> ServerState {
+        let domain = if opts.periodic_i {
+            Domain::o_grid(grid.dims())
+        } else {
+            Domain::boxed(grid.dims())
+        };
+        ServerState {
+            env: EnvironmentState::new(store.timestep_count()),
+            engines: ToolEngines::new(),
+            hands: HandStates::new(),
+            store,
+            grid,
+            domain,
+            governor: opts.frame_budget.map(FrameGovernor::new),
+            opts,
+            frame: None,
+            compute_elapsed: Duration::ZERO,
+            geom_cache: GeometryCache::new(),
+            chunk_cache: HashMap::new(),
+            tombstones: Vec::new(),
+            delta_floor: 0,
+            sessions: HashMap::new(),
+            stats: FrameStats::default(),
+            cum_substituted: 0,
+            shed_counter,
+            shed_seen: 0,
+        }
+    }
+
     fn apply_command(&mut self, session: Session, cmd: Command) -> Result<(), String> {
         let user = session.client_id;
         match cmd {
@@ -374,41 +406,41 @@ impl ServerState {
         }
     }
 
-    fn frame_bytes(&mut self, advance: bool) -> Result<Bytes, String> {
+    /// The cached chunks of the current frame's rakes that pass `wanted`,
+    /// ascending by id like `frame.rakes` — the order of `frame.paths`.
+    fn chunk_blobs(&self, wanted: impl Fn(&ChunkEntry) -> bool) -> Vec<Bytes> {
+        let rakes = self.frame.iter().flat_map(|f| &f.rakes);
+        rakes
+            .filter_map(|rk| self.chunk_cache.get(&rk.id))
+            .filter(|e| wanted(e))
+            .map(|e| e.bytes.clone())
+            .collect()
+    }
+
+    fn frame_bytes(&mut self, advance: bool) -> Result<Payload, String> {
         self.note_shedding();
         self.tick(advance)?;
-        let revision = self.env.revision();
         self.stats.cum_frames += 1;
-        if let Some((cached_rev, bytes)) = &self.frame_cache {
-            if *cached_rev == revision {
-                self.stats.cum_frame_hits += 1;
-                let bytes = bytes.clone();
-                self.stats.cum_bytes_sent += bytes.len() as u64;
-                return Ok(bytes);
-            }
-        }
         let fresh = self.refresh_frame()?;
-        let encode_started = Instant::now();
-        self.scratch.clear();
+        self.refresh_chunks();
+        let assemble_started = Instant::now();
         let Some(frame) = self.frame.as_ref() else {
             return Err("no frame computed yet".into());
         };
-        frame.encode_into(&mut self.scratch);
-        let bytes = self.scratch.split().freeze();
-        self.stats.encode_us = encode_started.elapsed().as_micros() as u64;
-        if fresh {
-            if let Some(gov) = &mut self.governor {
-                // Wall-clock over compute + encode: the budget governs
-                // what a client actually waits for.
-                gov.observe(self.compute_elapsed + encode_started.elapsed());
-            }
+        let reply = splice_frame(frame, self.chunk_blobs(|_| true));
+        self.stats.encode_us = assemble_started.elapsed().as_micros() as u64;
+        self.stats.cum_bytes_sent += reply.len() as u64;
+        if !fresh {
+            self.stats.cum_frame_hits += 1;
+        } else if let Some(gov) = &mut self.governor {
+            // Wall-clock over compute + encode: the budget governs
+            // what a client actually waits for.
+            gov.observe(self.compute_elapsed + assemble_started.elapsed());
         }
-        self.stats.cum_bytes_sent += bytes.len() as u64;
-        self.frame_cache = Some((revision, bytes.clone()));
-        Ok(bytes)
+        Ok(reply)
     }
 
-    fn delta_bytes(&mut self, client: UserId, req: DeltaRequest) -> Result<Bytes, String> {
+    fn delta_bytes(&mut self, client: UserId, req: DeltaRequest) -> Result<Payload, String> {
         self.note_shedding();
         self.tick(req.advance)?;
         let revision = self.env.revision();
@@ -433,15 +465,7 @@ impl ServerState {
         let Some(frame) = self.frame.as_ref() else {
             return Err("no frame computed yet".into());
         };
-        // frame.rakes ascends by id (environment BTreeMap order), so the
-        // spliced chunks do too — matching the full-frame path order.
-        let chunk_blobs: Vec<Bytes> = frame
-            .rakes
-            .iter()
-            .filter_map(|rk| self.chunk_cache.get(&rk.id))
-            .filter(|e| keyframe || e.content_rev > baseline)
-            .map(|e| e.bytes.clone())
-            .collect();
+        let chunk_blobs = self.chunk_blobs(|e| keyframe || e.content_rev > baseline);
         let tombstones: Vec<RakeId> = if keyframe {
             Vec::new()
         } else {
@@ -451,20 +475,17 @@ impl ServerState {
                 .map(|(id, _)| *id)
                 .collect()
         };
-        self.scratch.clear();
-        splice_delta(
-            &mut self.scratch,
+        let reply = splice_delta(
             keyframe,
             frame.timestep,
             frame.time,
             revision,
             baseline,
             &frame.rakes,
-            &chunk_blobs,
+            chunk_blobs,
             &tombstones,
             &frame.users,
         );
-        let bytes = self.scratch.split().freeze();
 
         self.stats.delta_encode_us = assemble_started.elapsed().as_micros() as u64;
         if keyframe {
@@ -472,7 +493,7 @@ impl ServerState {
         } else {
             self.stats.cum_delta_frames += 1;
         }
-        self.stats.cum_bytes_sent += bytes.len() as u64;
+        self.stats.cum_bytes_sent += reply.len() as u64;
         if fresh {
             if let Some(gov) = &mut self.governor {
                 gov.observe(self.compute_elapsed + assemble_started.elapsed());
@@ -485,7 +506,7 @@ impl ServerState {
         } else {
             sess.frames_since_key += 1;
         }
-        Ok(bytes)
+        Ok(reply)
     }
 }
 
@@ -512,14 +533,8 @@ pub fn serve(
     opts: ServerOptions,
     addr: &str,
 ) -> dlib::Result<WindtunnelHandle> {
-    let timestep_count = store.timestep_count();
     let meta = store.meta().clone();
     let bounds = grid.bounds();
-    let domain = if opts.periodic_i {
-        Domain::o_grid(grid.dims())
-    } else {
-        Domain::boxed(grid.dims())
-    };
     let mut transport = ServerConfig {
         heartbeat_timeout: opts.heartbeat_timeout,
         ..ServerConfig::default()
@@ -527,30 +542,7 @@ pub fn serve(
     if opts.queue_capacity > 0 {
         transport.queue_capacity = opts.queue_capacity;
     }
-    let shed_counter: Arc<AtomicU64> = Arc::clone(&transport.shed_counter);
-    let state = ServerState {
-        env: EnvironmentState::new(timestep_count),
-        engines: ToolEngines::new(),
-        hands: HandStates::new(),
-        store,
-        grid,
-        domain,
-        governor: opts.frame_budget.map(FrameGovernor::new),
-        opts,
-        frame: None,
-        compute_elapsed: Duration::ZERO,
-        frame_cache: None,
-        geom_cache: GeometryCache::new(),
-        chunk_cache: HashMap::new(),
-        tombstones: Vec::new(),
-        delta_floor: 0,
-        sessions: HashMap::new(),
-        scratch: BytesMut::new(),
-        stats: FrameStats::default(),
-        cum_substituted: 0,
-        shed_counter,
-        shed_seen: 0,
-    };
+    let state = ServerState::new(store, grid, opts, Arc::clone(&transport.shed_counter));
 
     let mut server = DlibServer::new(state);
     server.on_session_event(|state, session, event| state.session_event(session, event));
@@ -601,4 +593,79 @@ pub fn serve(
 
     let inner = server.serve_with(addr, transport)?;
     Ok(WindtunnelHandle { inner })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flowfield::{dataset::VelocityCoords, Dataset, DatasetMeta, Dims, VectorField};
+    use storage::MemoryStore;
+    use tracer::ToolKind;
+    use vecmath::{Aabb, Vec3};
+
+    fn state_with_two_rakes() -> ServerState {
+        let dims = Dims::new(16, 9, 9);
+        let bounds = Aabb::new(Vec3::ZERO, Vec3::new(15.0, 8.0, 8.0));
+        let grid = CurvilinearGrid::cartesian(dims, bounds).unwrap();
+        let meta = DatasetMeta {
+            name: "uniform".into(),
+            dims,
+            timestep_count: 2,
+            dt: 0.1,
+            coords: VelocityCoords::Grid,
+        };
+        let fields = (0..2)
+            .map(|_| VectorField::from_fn(dims, |_, _, _| Vec3::X))
+            .collect();
+        let ds = Dataset::new(meta, grid.clone(), fields).unwrap();
+        let store = Arc::new(MemoryStore::from_dataset(ds));
+        let mut state = ServerState::new(store, grid, ServerOptions::default(), Arc::default());
+        for y in [2.0, 5.0] {
+            let add = Command::AddRake {
+                a: Vec3::new(2.0, y, 4.0),
+                b: Vec3::new(2.0, y + 1.0, 4.0),
+                seed_count: 3,
+                tool: ToolKind::Streamline,
+            };
+            state.apply_command(Session { client_id: 1 }, add).unwrap();
+        }
+        state
+    }
+
+    /// The acceptance test for "no copy proportional to chunk bytes":
+    /// what a handler returns for the chunk part of a reply is the
+    /// cached buffer itself — same address, for every client and for
+    /// both frame RPCs — and the ropes still spell the typed encodings.
+    #[test]
+    fn replies_carry_the_cached_chunk_buffers_themselves() {
+        let mut state = state_with_two_rakes();
+        let keyframe = DeltaRequest {
+            advance: false,
+            baseline: 0,
+        };
+        let to_a = state.delta_bytes(1, keyframe).unwrap();
+        let to_b = state.delta_bytes(2, keyframe).unwrap();
+        let full = state.frame_bytes(false).unwrap();
+        let cached: Vec<&Bytes> = [1, 2]
+            .iter()
+            .map(|id| &state.chunk_cache[id].bytes)
+            .collect();
+        assert!(cached.iter().all(|c| c.len() > 100), "rakes traced paths");
+        for rope in [&to_a, &to_b] {
+            assert_eq!(rope.segments.len(), 4, "head, two chunks, tail");
+            for (seg, blob) in rope.segments[1..].iter().zip(&cached) {
+                assert_eq!((seg.as_ptr(), seg.len()), (blob.as_ptr(), blob.len()));
+            }
+        }
+        assert_eq!(full.segments.len(), 4);
+        for (seg, blob) in full.segments[1..].iter().zip(&cached) {
+            assert_eq!(seg.as_ptr(), blob[16..].as_ptr());
+            assert_eq!(seg.len(), blob.len() - 16);
+        }
+        let frame = state.frame.clone().unwrap();
+        assert_eq!(full.into_bytes(), frame.encode());
+        let typed = crate::proto::DeltaFrame::decode(&to_a.clone().into_bytes()).unwrap();
+        assert_eq!(typed.encode(), to_a.into_bytes());
+        assert_eq!(typed.chunks.len(), 2);
+    }
 }

@@ -26,6 +26,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # PROPTEST_CASES pins the round count and RUST_BACKTRACE locates any
 # failure inside the storm.
 PROPTEST_CASES=32 RUST_BACKTRACE=1 cargo test -q -p dvw-dlib --test chaos
+# Reply round trips must be flat across sizes (the pre-PR-12 send path
+# stalled ≥ 40 ms between 8 KiB and one MSS); release mode, as served.
+cargo test -q --release -p dvw-dlib --test reply_latency
 RUST_BACKTRACE=1 cargo test -q --test chaos_resync
 # Disk chaos: seeded read faults (transient, torn, bit flips, one dead
 # timestep) under live looped playback; recovery counters must match the
@@ -42,5 +45,8 @@ PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test 
 # bit patterns (NaN payloads, -0.0, denormals), and truncation/corruption
 # must be rejected, never mis-decoded.
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --test codec_roundtrip
+# The end-to-end harness: its own fmt/clippy/unit tests, a --quick smoke
+# of all five workloads in both modes, and BENCHMARK.json <-> --list.
+sh benchmark/check.sh
 
 echo "check.sh: all green"

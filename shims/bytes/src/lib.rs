@@ -3,7 +3,8 @@
 //! The build environment has no crates-io access, so the workspace ships
 //! its own implementation of the small slice of the `bytes` API it uses:
 //! [`Bytes`] (an `Arc`-backed immutable view that clones and subslices
-//! without copying), [`BytesMut`] (a growable builder), and the [`Buf`] /
+//! without copying, and takes over a `Vec<u8>` without copying it either),
+//! [`BytesMut`] (a growable builder), and the [`Buf`] /
 //! [`BufMut`] reader/writer traits. Semantics follow the real crate
 //! closely enough that swapping the dependency back is a one-line change.
 
@@ -12,23 +13,20 @@ use std::sync::Arc;
 
 /// Cheaply cloneable, immutable, sliceable byte buffer.
 ///
-/// Internally an `Arc<[u8]>` plus a window; `clone` and `slice` are O(1)
-/// and never copy the payload.
+/// Internally an `Arc<Vec<u8>>` plus a window; `clone`, `slice` and
+/// `From<Vec<u8>>` are O(1) and never copy the payload (`Arc<[u8]>` would
+/// reallocate and memcpy the vector on every conversion).
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// Empty buffer (no allocation).
+    /// Empty buffer (no payload allocation).
     pub fn new() -> Bytes {
-        Bytes {
-            data: Arc::from(&[][..]),
-            start: 0,
-            end: 0,
-        }
+        Bytes::from(Vec::new())
     }
 
     /// Wrap a static slice. The shim copies once into shared storage
@@ -39,11 +37,7 @@ impl Bytes {
 
     /// Copy a slice into a fresh shared buffer.
     pub fn copy_from_slice(b: &[u8]) -> Bytes {
-        Bytes {
-            data: Arc::from(b),
-            start: 0,
-            end: b.len(),
-        }
+        Bytes::from(b.to_vec())
     }
 
     pub fn len(&self) -> usize {
@@ -86,10 +80,11 @@ impl Default for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes over the vector's allocation; no copy.
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -105,6 +100,12 @@ impl From<&[u8]> for Bytes {
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
         &self.data[self.start..self.end]
+    }
+}
+
+impl std::borrow::Borrow<[u8]> for Bytes {
+    fn borrow(&self) -> &[u8] {
+        self.as_ref()
     }
 }
 
@@ -359,6 +360,23 @@ mod tests {
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
         assert_eq!(b.len(), 5); // parent untouched
+    }
+
+    #[test]
+    fn freeze_clone_slice_never_move_the_data() {
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(&[7u8; 48]);
+        let built_at = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), built_at, "freeze must not copy");
+        let cloned = frozen.clone();
+        assert_eq!(cloned.as_ptr(), built_at, "clone must not copy");
+        let sliced = cloned.slice(8..40);
+        assert_eq!(sliced.as_ptr(), built_at.wrapping_add(8));
+        assert_eq!(&sliced[..], &[7u8; 32]);
+        let v = vec![1u8, 2, 3];
+        let at = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), at, "From<Vec<u8>> must not copy");
     }
 
     #[test]

@@ -155,11 +155,22 @@ proptest! {
     /// to the client's retained scene reconstructs a frame byte-identical
     /// to the full-frame encoding, across random rake add / drag / delete
     /// / streak-advance sequences and forced keyframe resyncs.
+    ///
+    /// Both replies reach the socket as ropes around the server's cached
+    /// chunk buffers. A third, raw connection checks the ropes as they
+    /// arrive, concatenated by the wire, against the typed encoders —
+    /// what the contiguous `splice_delta` / `encode_into` of before
+    /// produced: FRAME_DELTA bytes ≡ `DeltaFrame::encode`, FRAME bytes ≡
+    /// `GeometryFrame::encode`.
     #[test]
     fn delta_stream_byte_identical_to_full_frames(
         ops in proptest::collection::vec((0u8..6, 0.0f32..1.0), 1..25),
     ) {
-        use dvw::windtunnel::proto::{Command, TimeCommand};
+        use dvw::dlib::DlibClient;
+        use dvw::windtunnel::proto::{
+            Command, DeltaFrame, DeltaRequest, FrameRequest, GeometryFrame, TimeCommand,
+            PROC_FRAME, PROC_FRAME_DELTA,
+        };
         use dvw::windtunnel::{serve, ServerOptions, WindtunnelClient};
         use dvw::flowfield::{dataset::VelocityCoords, Dataset, DatasetMeta, VectorField};
         use dvw::storage::MemoryStore;
@@ -189,6 +200,8 @@ proptest! {
 
         let mut inc = WindtunnelClient::connect(handle.addr()).unwrap();
         let mut full = WindtunnelClient::connect(handle.addr()).unwrap();
+        let mut raw = DlibClient::connect(handle.addr()).unwrap();
+        let mut raw_baseline = 0u64;
         let mut live_rakes: Vec<u32> = Vec::new();
         let mut next_id = 1u32;
         for (op, x) in ops {
@@ -258,6 +271,20 @@ proptest! {
             // Byte-identity: the delta reconstruction must match the
             // full-frame encoding exactly.
             prop_assert_eq!(df.encode(), ff.encode());
+
+            // The raw connection acks its own baselines, so it sees true
+            // deltas (chunks for changed rakes only, tombstones) as well
+            // as keyframes.
+            let req = DeltaRequest { advance: false, baseline: raw_baseline };
+            let delta_wire = raw.call(PROC_FRAME_DELTA, &req.encode()).unwrap();
+            let delta = DeltaFrame::decode(&delta_wire).unwrap();
+            prop_assert_eq!(&delta.encode(), &delta_wire);
+            raw_baseline = delta.revision;
+            let frame_wire = raw
+                .call(PROC_FRAME, &FrameRequest { advance: false }.encode())
+                .unwrap();
+            prop_assert_eq!(&GeometryFrame::decode(&frame_wire).unwrap().encode(), &frame_wire);
+            prop_assert_eq!(&frame_wire, &ff.encode());
         }
         handle.shutdown();
     }

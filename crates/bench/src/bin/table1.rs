@@ -2,41 +2,90 @@
 //!
 //! Paper columns: particle count, bytes transferred per frame, bandwidth
 //! required for 10 frames/s. We print the analytic rows (the table's
-//! formula: 12 B/particle × 10 fps) and then *measure* the achieved frame
-//! rate shipping real `GeometryFrame` payloads over loopback TCP through
-//! the three UltraNet regimes of §5.1: the rated-but-unreachable
-//! 100 MB/s, the VME-limited 13 MB/s, and the buggy 1 MB/s the authors
-//! actually had at submission time.
+//! formula: 12 B/particle × 10 fps — the 1992 wire) and then *measure*
+//! the achieved frame rate shipping real `GeometryFrame` payloads over
+//! loopback TCP through the three UltraNet regimes of §5.1: the
+//! rated-but-unreachable 100 MB/s, the VME-limited 13 MB/s, and the buggy
+//! 1 MB/s the authors actually had at submission time.
 //!
-//! Expected shape (the paper's conclusion): at 13 MB/s every row clears
-//! 10 fps except 100 000 particles, which sits right at the limit; at
-//! 1 MB/s only sub-10 000-particle scenes are interactive.
+//! The frames shipped are *traced* — streamlines through the full-scale
+//! tapered cylinder, 500 points a seed — and go through
+//! `GeometryFrame::encode`, whose point codec (DESIGN.md §6.8) sends
+//! roughly half of 12 B/particle; the table prints both byte counts and
+//! the bandwidth each needs, and measures frame rates on what is sent.
+//!
+//! Expected shape: the paper's conclusion was that at 13 MB/s every row
+//! clears 10 fps except 100 000 particles, which sits right at the limit;
+//! encoded, that row needs under half the link. At 1 MB/s only
+//! ~10 000-particle scenes are interactive.
 
-use bench_support::TablePrinter;
+use bench_support::{paper_spec, tapered_dataset, TablePrinter};
 use dlib::ThrottledWriter;
+use flowfield::CurvilinearGrid;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::time::Instant;
 use storage::constraints::{
     frame_bytes, required_network_mbytes_per_sec, TABLE1_PARTICLES, TARGET_FPS,
 };
+use storage::{MemoryStore, TimestepStore};
+use tracer::{Domain, Rake, ToolKind, TraceConfig};
 use vecmath::Vec3;
-use windtunnel::proto::{GeometryFrame, PathKind, PathMsg};
+use windtunnel::compute::{compute_frame, ComputeConfig, ToolEngines};
+use windtunnel::env::EnvironmentState;
+use windtunnel::proto::GeometryFrame;
 
-/// Build a frame with exactly `particles` path points.
-fn frame_with(particles: usize) -> GeometryFrame {
-    GeometryFrame {
-        timestep: 0,
-        time: 0.0,
-        revision: 0,
-        rakes: vec![],
-        paths: vec![PathMsg {
-            rake_id: 1,
-            kind: PathKind::Streamline,
-            points: vec![Vec3::new(1.0, 2.0, 3.0); particles],
-        }],
-        users: vec![],
+/// Points per traced streamline (seed + 499 steps of `dt` 0.02).
+const POINTS_PER_SEED: usize = 500;
+/// Seeds on one rake; larger scenes add rakes, as a user would.
+const SEEDS_PER_RAKE: usize = 25;
+
+/// Trace a frame of exactly `particles` streamline points: spanwise rakes
+/// spread across the inflow upstream of the cylinder, every seed running
+/// its full length.
+fn traced_frame(store: &MemoryStore, grid: &CurvilinearGrid, particles: usize) -> GeometryFrame {
+    let seeds = particles / POINTS_PER_SEED;
+    let rakes = seeds.div_ceil(SEEDS_PER_RAKE);
+    let per_rake = (seeds / rakes) as u32;
+    let mut env = EnvironmentState::new(store.timestep_count());
+    for slot in 0..rakes {
+        // Clear of the stagnation line y = 0, where a seed stalls.
+        let y = if rakes == 1 {
+            0.7
+        } else {
+            -1.75 + 3.5 * slot as f32 / (rakes - 1) as f32
+        };
+        // Rakes live in grid coordinates, as the server's AddRake puts them.
+        let end = |z| {
+            grid.locate(Vec3::new(-2.6, y, z))
+                .expect("rake endpoint inside the grid")
+        };
+        env.add_rake(Rake::new(
+            end(1.0),
+            end(7.0),
+            per_rake,
+            ToolKind::Streamline,
+        ));
     }
+    let cfg = ComputeConfig {
+        trace: TraceConfig {
+            dt: 0.02,
+            max_points: POINTS_PER_SEED - 1,
+            ..TraceConfig::default()
+        },
+        ..ComputeConfig::default()
+    };
+    let frame = compute_frame(
+        &env,
+        &mut ToolEngines::new(),
+        store,
+        grid,
+        &Domain::o_grid(store.meta().dims),
+        &cfg,
+    )
+    .expect("tracing the generated dataset");
+    assert_eq!(frame.particle_count(), particles, "a seed left the grid");
+    frame
 }
 
 /// Ship `frames` copies of the payload over loopback at `rate` B/s;
@@ -70,18 +119,27 @@ fn measure(payload: &[u8], rate: f64, frames: usize) -> f64 {
 }
 
 fn main() {
-    println!("\nTable 1: Network constraints (paper values are the analytic rows)\n");
+    println!(
+        "\nTable 1: Network constraints (12 B/particle columns are the paper's analytic rows)\n"
+    );
     let mut t = TablePrinter::new(&[
         "# particles",
         "bytes/frame",
         "req MB/s @10fps",
+        "encoded B/frame",
+        "enc MB/s @10fps",
         "fps @100MB/s",
         "fps @13MB/s",
         "fps @1MB/s",
     ]);
 
+    eprintln!("generating dataset ...");
+    let dataset = tapered_dataset(paper_spec(), 2);
+    let grid = dataset.grid().clone();
+    let store = MemoryStore::from_dataset(dataset);
     for &particles in &TABLE1_PARTICLES {
-        let frame = frame_with(particles as usize);
+        let frame = traced_frame(&store, &grid, particles as usize);
+        assert_eq!(frame.path_payload_bytes() as u64, frame_bytes(particles));
         let payload = frame.encode();
         // Fewer trips for the slow regimes so the bin stays fast.
         let fps_100 = 1.0 / measure(&payload, 100.0e6, 12);
@@ -94,6 +152,11 @@ fn main() {
                 "{:.3}",
                 required_network_mbytes_per_sec(particles, TARGET_FPS)
             ),
+            format!("{}", payload.len()),
+            format!(
+                "{:.3}",
+                payload.len() as f64 * TARGET_FPS / (1024.0 * 1024.0)
+            ),
             format!("{fps_100:.1}"),
             format!("{fps_13:.1}"),
             format!("{fps_1:.1}"),
@@ -103,7 +166,8 @@ fn main() {
     println!();
     println!("paper row check: 10k -> 120000 B, 1.144 MB/s; 50k -> 600000 B, 5.722 MB/s;");
     println!("100k -> 1200000 B (paper prints 9.537 MB/s; the formula gives 11.444 — see EXPERIMENTS.md).");
-    println!(
-        "Shape to verify: 13 MB/s sustains 10 fps up to ~100k particles; 1 MB/s only below ~10k."
-    );
+    println!("Encoded columns: what GeometryFrame::encode sends for the same traced particles");
+    println!("(predictive point codec, lossless; MB = 2^20 B as in the paper's column; fps are of");
+    println!("the encoded frames). Shape to verify: at 12 B/particle 100k particles sit at the");
+    println!("13 MB/s limit; encoded they need under half of it (~5.6 x 10^6 B/s).");
 }

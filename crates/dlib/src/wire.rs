@@ -244,8 +244,7 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    /// Consume exactly `n` bytes after a single bounds check — the slab
-    /// primitive bulk decoders build on.
+    /// Consume exactly `n` bytes after a single bounds check.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         self.need(n)?;
         let (head, tail) = self.buf.split_at(n);
@@ -281,49 +280,131 @@ impl<'a> WireReader<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| DlibError::Protocol("string is not UTF-8".into()))
     }
 
-    /// Bulk-decode `n` f32 triples (12 bytes each, little-endian) after a
-    /// single bounds check for the whole slab. The per-triple conversion
-    /// uses `from_le_bytes` on fixed-size chunks, which the compiler
-    /// reduces to plain loads on little-endian targets — no per-element
-    /// `Result` or length test survives in the hot loop.
-    pub fn f32x3_slab(&mut self, n: usize) -> Result<impl ExactSizeIterator<Item = [f32; 3]> + 'a> {
-        let slab = self.take(n * 12)?;
-        Ok(slab.chunks_exact(12).map(|c| {
-            [
-                f32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                f32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-                f32::from_le_bytes([c[8], c[9], c[10], c[11]]),
-            ]
-        }))
+    /// Read a `u32` element count and bound it by what the rest of the
+    /// message can hold at `min_bytes` per element, so a hostile count is
+    /// rejected by name before anything is allocated for it.
+    pub fn count(&mut self, what: &str, min_bytes: usize) -> Result<usize> {
+        let n = self.u32_le()? as usize;
+        if n > self.buf.len() / min_bytes.max(1) {
+            return Err(DlibError::Protocol(format!(
+                "{what} count {n} exceeds what the remaining {} bytes can hold",
+                self.buf.len()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// Decode one path written by [`put_point_path`], at most `max_points`
+    /// long. Every window read is a checked slice of the message: short,
+    /// over-long and malformed input is a `Protocol` error naming the
+    /// point, never a panic, and the output allocation is bounded by the
+    /// bytes actually present.
+    pub fn point_path<P: From<[f32; 3]>>(&mut self, max_points: usize) -> Result<Vec<P>> {
+        let n = self.count("point", MIN_POINT_BYTES)?;
+        if n > max_points {
+            return Err(DlibError::Protocol(format!(
+                "absurd point count {n} (cap {max_points})"
+            )));
+        }
+        let mut points = Vec::with_capacity(n);
+        let (mut p1, mut p2) = ([0u32; 3], [0u32; 3]);
+        for i in 0..n {
+            // One point is at most 13 bytes, read in place; only at the
+            // end of the message is the window a zero-padded copy, and
+            // `used` is checked against what was really there.
+            let mut padded = [0u8; MAX_POINT_BYTES];
+            let (window, have) = match self.buf.first_chunk() {
+                Some(window) => (window, MAX_POINT_BYTES),
+                None => {
+                    padded[..self.buf.len()].copy_from_slice(self.buf);
+                    (&padded, self.buf.len())
+                }
+            };
+            let ctrl = u32::from(window[0]);
+            if ctrl >> 6 != 0 {
+                return Err(DlibError::Protocol(format!(
+                    "point {i}: unused control bits set ({ctrl:#04x})"
+                )));
+            }
+            let mut used = 1;
+            let mut cur = [0u32; 3];
+            for (c, out) in cur.iter_mut().enumerate() {
+                let len = (ctrl >> (2 * c) & 3) + 1;
+                let mut le = [0u8; 4];
+                le.copy_from_slice(&window[used..used + 4]);
+                let z = u32::from_le_bytes(le) & (u32::MAX >> (32 - 8 * len));
+                let residual = (z >> 1) ^ 0u32.wrapping_sub(z & 1);
+                *out = residual.wrapping_add(predict(p1[c], p2[c]));
+                used += len as usize;
+            }
+            if used > have {
+                return Err(DlibError::Protocol(format!(
+                    "point {i} of {n}: truncated, needs {used} bytes, have {have}"
+                )));
+            }
+            self.buf = &self.buf[used..];
+            p2 = if i == 0 { cur } else { p1 };
+            p1 = cur;
+            points.push(P::from(cur.map(f32::from_bits)));
+        }
+        Ok(points)
     }
 }
 
-/// Bulk-encode f32 triples (12 bytes each, little-endian). Triples are
-/// staged through a stack scratch block and appended with one
-/// `extend_from_slice` per block instead of one reserve/append cycle per
-/// float — safe on any endianness, and on little-endian targets the
-/// `to_le_bytes` copies compile to plain stores.
-pub fn put_f32x3_slab<I>(b: &mut BytesMut, triples: I)
+/// Smallest and largest encoding of one point: a control byte plus three
+/// residuals of 1–4 bytes.
+const MIN_POINT_BYTES: usize = 4;
+const MAX_POINT_BYTES: usize = 13;
+
+/// Order-2 linear prediction on bit patterns: the next value continues
+/// the step between the last two. Wrapping integer arithmetic, so the
+/// residual round-trips every `u32` exactly.
+#[inline]
+fn predict(p1: u32, p2: u32) -> u32 {
+    p1.wrapping_mul(2).wrapping_sub(p2)
+}
+
+/// Encode one path of f32 triples: `[u32 count]`, then per point one
+/// control byte (three 2-bit `length − 1` fields, x lowest; top two bits
+/// zero) and the three zig-zagged residuals in 1–4 little-endian bytes
+/// each. The residual of a component is its bit pattern minus
+/// [`predict`] of the previous two points' (the first point predicts
+/// from zero, the second from the first), so NaN payloads, −0.0 and
+/// denormals survive bit-exactly. Smooth paths cost 5–6 bytes a point,
+/// arbitrary bits at most 13 (DESIGN.md §6.8).
+pub fn put_point_path<I>(b: &mut BytesMut, points: I)
 where
     I: ExactSizeIterator<Item = [f32; 3]>,
 {
-    const PER_BLOCK: usize = 128; // 1536-byte stack scratch
-    b.reserve(triples.len() * 12);
-    let mut scratch = [0u8; PER_BLOCK * 12];
+    const PER_BLOCK: usize = 64; // 832-byte stack scratch
+    b.reserve(4 + points.len() * MAX_POINT_BYTES);
+    b.put_u32_le(len_u32(points.len()));
+    let mut scratch = [0u8; PER_BLOCK * MAX_POINT_BYTES];
     let mut off = 0;
-    for t in triples {
-        scratch[off..off + 4].copy_from_slice(&t[0].to_le_bytes());
-        scratch[off + 4..off + 8].copy_from_slice(&t[1].to_le_bytes());
-        scratch[off + 8..off + 12].copy_from_slice(&t[2].to_le_bytes());
-        off += 12;
-        if off == scratch.len() {
-            b.put_slice(&scratch);
+    let (mut p1, mut p2) = ([0u32; 3], [0u32; 3]);
+    for (i, p) in points.enumerate() {
+        let cur = p.map(f32::to_bits);
+        let mut ctrl = 0u32;
+        let mut at = off + 1;
+        for c in 0..3 {
+            let residual = cur[c].wrapping_sub(predict(p1[c], p2[c]));
+            let z = (residual << 1) ^ 0u32.wrapping_sub(residual >> 31);
+            let len = 4 - (z | 1).leading_zeros() / 8;
+            // Four bytes land, `len` are kept: the next write overlaps.
+            scratch[at..at + 4].copy_from_slice(&z.to_le_bytes());
+            ctrl |= (len - 1) << (2 * c);
+            at += len as usize;
+        }
+        scratch[off] = ctrl.to_le_bytes()[0];
+        off = at;
+        p2 = if i == 0 { cur } else { p1 };
+        p1 = cur;
+        if off > scratch.len() - MAX_POINT_BYTES {
+            b.put_slice(&scratch[..off]);
             off = 0;
         }
     }
-    if off > 0 {
-        b.put_slice(&scratch[..off]);
-    }
+    b.put_slice(&scratch[..off]);
 }
 
 #[cfg(test)]
@@ -417,45 +498,6 @@ mod tests {
         let buf = b.freeze();
         let mut r = WireReader::new(&buf);
         assert!(matches!(r.string(), Err(DlibError::Protocol(_))));
-    }
-
-    #[test]
-    fn f32x3_slab_roundtrip() {
-        let triples: Vec<[f32; 3]> = (0..300)
-            .map(|i| [i as f32, i as f32 * 0.5, -(i as f32)])
-            .collect();
-        let mut b = BytesMut::new();
-        put_f32x3_slab(&mut b, triples.iter().copied());
-        assert_eq!(b.len(), 300 * 12);
-        let buf = b.freeze();
-        let mut r = WireReader::new(&buf);
-        let back: Vec<[f32; 3]> = r.f32x3_slab(300).unwrap().collect();
-        assert_eq!(back, triples);
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn f32x3_slab_matches_per_element_encoding() {
-        // The slab must be byte-identical to the naive per-float path.
-        let triples: Vec<[f32; 3]> = (0..130).map(|i| [0.1 * i as f32, -2.5, 1e9]).collect();
-        let mut slab = BytesMut::new();
-        put_f32x3_slab(&mut slab, triples.iter().copied());
-        let mut naive = BytesMut::new();
-        for t in &triples {
-            naive.put_f32_le_(t[0]);
-            naive.put_f32_le_(t[1]);
-            naive.put_f32_le_(t[2]);
-        }
-        assert_eq!(&slab[..], &naive[..]);
-    }
-
-    #[test]
-    fn f32x3_slab_truncated_rejected() {
-        let mut b = BytesMut::new();
-        put_f32x3_slab(&mut b, [[1.0f32, 2.0, 3.0]].into_iter());
-        let buf = b.freeze();
-        let mut r = WireReader::new(&buf[..11]); // one byte short
-        assert!(r.f32x3_slab(1).is_err());
     }
 
     /// Feeds one byte per read and a `WouldBlock` between bytes — the

@@ -13,7 +13,7 @@
 //! * [`mod@env`] — the shared environment: rakes, first-come-first-served
 //!   grab locking (§5.1), user head poses;
 //! * [`proto`] — the command/geometry wire protocol: commands upstream
-//!   (hand pose, gestures, time control), 12-byte path points downstream;
+//!   (hand pose, gestures, time control), computed paths downstream;
 //! * [`interaction`] — server-side hand-gesture interpretation: fist
 //!   near a handle grabs, movement drags, open releases;
 //! * [`compute`] — per-frame tool computation over the timestep store;

@@ -9,13 +9,15 @@
 //! floating point vectors in three dimensions… the transfer of 12 bytes
 //! per point in each array", plus "the information about the virtual
 //! control devices such as rakes … so that the current state of these
-//! devices may be correctly rendered."
+//! devices may be correctly rendered." (Those 12 bytes are the paper's
+//! wire; here a path goes through a lossless predictive codec at 5–6
+//! bytes a point — see [`PROTOCOL_VERSION`].)
 //!
 //! All protocol geometry is in **physical** coordinates; grid coordinates
 //! never cross the wire.
 
 use bytes::{Bytes, BytesMut};
-use dlib::wire::{put_f32x3_slab, WireReader, WireWrite};
+use dlib::wire::{put_point_path, WireReader, WireWrite};
 use dlib::{DlibError, Payload, Result};
 use flowfield::Dims;
 use tracer::ToolKind;
@@ -25,20 +27,22 @@ use vr::Gesture;
 /// Wire-protocol version, checked during the hello handshake: a client
 /// and server that disagree fail fast with a clear error instead of
 /// mis-decoding geometry.
-pub const PROTOCOL_VERSION: u32 = 1;
+// wire:non-additive — v2 replaces the 12 B/point path slab with the
+// predictive point codec (DESIGN.md §6.8); a v1 peer cannot read a path.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Procedure ids registered on the windtunnel's dlib server.
 pub const PROC_HELLO: u32 = 0x0057_0001;
 pub const PROC_COMMAND: u32 = 0x0057_0002;
 pub const PROC_FRAME: u32 = 0x0057_0003;
-/// Pipeline instrumentation (additive — a v1 peer that never calls it is
-/// unaffected, so `PROTOCOL_VERSION` stays 1).
+/// Pipeline instrumentation (additive — a peer that never calls it is
+/// unaffected, so it did not bump `PROTOCOL_VERSION`).
 pub const PROC_STATS: u32 = 0x0057_0004;
 /// Incremental frame transfer (additive, like [`PROC_STATS`]): the client
 /// sends the revision it last applied, the server replies with only the
 /// per-rake chunks that changed since — or a full keyframe when the
 /// client has no baseline / is too far behind. [`PROC_FRAME`] remains the
-/// always-works resync path, so `PROTOCOL_VERSION` stays 1.
+/// always-works resync path, so this did not bump `PROTOCOL_VERSION`.
 pub const PROC_FRAME_DELTA: u32 = 0x0057_0005;
 
 /// Identifies a rake (mirrors `env::RakeId`).
@@ -111,52 +115,18 @@ fn get_gesture(r: &mut WireReader) -> Result<Gesture> {
 }
 
 /// Cap on a single path's point count (well above Table 1's largest
-/// frame) — bounds the allocation a hostile length prefix can demand.
+/// frame), on top of the decoder's own bound by the bytes present.
 const MAX_POINTS_PER_PATH: usize = 16_000_000;
 
+/// Path points go through `dlib::wire`'s predictive point codec (DESIGN.md
+/// §6.8) — lossless on bit patterns, so every byte-identity the delta
+/// protocol rests on holds whatever the floats are.
 fn put_points(b: &mut BytesMut, pts: &[Vec3]) {
-    b.put_len_(pts.len());
-    // Bulk slab encode: one reserve + block copies instead of three
-    // bounds-checked appends per point. Byte-identical to the
-    // per-element path (see `reference` tests).
-    put_f32x3_slab(b, pts.iter().map(|p| [p.x, p.y, p.z]));
+    put_point_path(b, pts.iter().map(|p| [p.x, p.y, p.z]));
 }
 
 fn get_points(r: &mut WireReader) -> Result<Vec<Vec3>> {
-    let n = r.u32_le()? as usize;
-    if n > MAX_POINTS_PER_PATH {
-        return Err(DlibError::Protocol(format!("absurd point count {n}")));
-    }
-    // Bulk slab decode: one bounds check for the whole 12n-byte run.
-    Ok(r.f32x3_slab(n)?
-        .map(|[x, y, z]| Vec3::new(x, y, z))
-        .collect())
-}
-
-/// The original per-element codec, kept as the reference the slab path
-/// must match byte-for-byte (asserted by proptest below).
-#[cfg(test)]
-mod reference_points {
-    use super::*;
-
-    pub fn put_points(b: &mut BytesMut, pts: &[Vec3]) {
-        b.put_len_(pts.len());
-        for p in pts {
-            put_vec3(b, *p);
-        }
-    }
-
-    pub fn get_points(r: &mut WireReader) -> Result<Vec<Vec3>> {
-        let n = r.u32_le()? as usize;
-        if n > MAX_POINTS_PER_PATH {
-            return Err(DlibError::Protocol(format!("absurd point count {n}")));
-        }
-        let mut pts = Vec::with_capacity(n);
-        for _ in 0..n {
-            pts.push(get_vec3(r)?);
-        }
-        Ok(pts)
-    }
+    r.point_path(MAX_POINTS_PER_PATH)
 }
 
 // ---------------------------------------------------------------------
@@ -413,7 +383,8 @@ impl PathKind {
     }
 }
 
-/// One computed path: 12 bytes per point, as §5.1 specifies.
+/// One computed path: §5.1's array of 3-D points (12 bytes each in
+/// memory and in the paper; 5–6 on this wire, DESIGN.md §6.8).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathMsg {
     pub rake_id: RakeId,
@@ -456,6 +427,13 @@ pub struct GeometryFrame {
 // from the same per-element encoders, so a frame reassembled from delta
 // chunks is byte-identical to the directly encoded one by construction.
 
+/// Encoded sizes of one rake and one user, and the least a path can take
+/// (ids, kind and an empty point run) — what a decoder divides the bytes
+/// left by to bound an element count before allocating for it.
+const RAKE_BYTES: usize = 44;
+const USER_BYTES: usize = 36;
+const MIN_PATH_BYTES: usize = 12;
+
 fn put_rake(b: &mut BytesMut, rk: &RakeMsg) {
     b.put_u32_le_(rk.id);
     put_vec3(b, rk.a);
@@ -484,10 +462,7 @@ fn put_rakes_section(b: &mut BytesMut, rakes: &[RakeMsg]) {
 }
 
 fn get_rakes_section(r: &mut WireReader) -> Result<Vec<RakeMsg>> {
-    let n_rakes = r.u32_le()? as usize;
-    if n_rakes > 100_000 {
-        return Err(DlibError::Protocol("absurd rake count".into()));
-    }
+    let n_rakes = r.count("rake", RAKE_BYTES)?;
     let mut rakes = Vec::with_capacity(n_rakes);
     for _ in 0..n_rakes {
         rakes.push(get_rake(r)?);
@@ -518,10 +493,7 @@ fn put_users_section(b: &mut BytesMut, users: &[UserMsg]) {
 }
 
 fn get_users_section(r: &mut WireReader) -> Result<Vec<UserMsg>> {
-    let n_users = r.u32_le()? as usize;
-    if n_users > 100_000 {
-        return Err(DlibError::Protocol("absurd user count".into()));
-    }
+    let n_users = r.count("user", USER_BYTES)?;
     let mut users = Vec::with_capacity(n_users);
     for _ in 0..n_users {
         users.push(UserMsg {
@@ -538,8 +510,10 @@ impl GeometryFrame {
         self.paths.iter().map(|p| p.points.len()).sum()
     }
 
-    /// Wire bytes of the path payload alone (12 B/point, the table's
-    /// accounting).
+    /// Table 1's accounting of the path payload: 12 B/point, the paper's
+    /// raw wire. Not what [`encode`](Self::encode) produces (the point
+    /// codec roughly halves it) — used as a paper figure and as the
+    /// encoder's reserve hint.
     pub fn path_payload_bytes(&self) -> usize {
         self.particle_count() * 12
     }
@@ -576,10 +550,7 @@ impl GeometryFrame {
         let time = r.f32_le()?;
         let revision = r.u64_le()?;
         let rakes = get_rakes_section(&mut r)?;
-        let n_paths = r.u32_le()? as usize;
-        if n_paths > 1_000_000 {
-            return Err(DlibError::Protocol("absurd path count".into()));
-        }
+        let n_paths = r.count("path", MIN_PATH_BYTES)?;
         let mut paths = Vec::with_capacity(n_paths);
         for _ in 0..n_paths {
             paths.push(get_path(&mut r)?);
@@ -615,9 +586,15 @@ impl FrameRequest {
 
     pub fn decode(buf: &[u8]) -> Result<FrameRequest> {
         let mut r = WireReader::new(buf);
-        Ok(FrameRequest {
+        let req = FrameRequest {
             advance: r.u32_le()? != 0,
-        })
+        };
+        if r.remaining() != 0 {
+            return Err(DlibError::Protocol(
+                "trailing bytes after frame request".into(),
+            ));
+        }
+        Ok(req)
     }
 }
 
@@ -693,10 +670,7 @@ impl RakeChunkMsg {
     fn decode_from(r: &mut WireReader) -> Result<RakeChunkMsg> {
         let rake_id = r.u32_le()?;
         let content_rev = r.u64_le()?;
-        let n_paths = r.u32_le()? as usize;
-        if n_paths > 1_000_000 {
-            return Err(DlibError::Protocol("absurd chunk path count".into()));
-        }
+        let n_paths = r.count("chunk path", MIN_PATH_BYTES)?;
         let mut paths = Vec::with_capacity(n_paths);
         for _ in 0..n_paths {
             let p = get_path(r)?;
@@ -785,18 +759,12 @@ impl DeltaFrame {
         let revision = r.u64_le()?;
         let baseline = r.u64_le()?;
         let rakes = get_rakes_section(&mut r)?;
-        let n_chunks = r.u32_le()? as usize;
-        if n_chunks > 100_000 {
-            return Err(DlibError::Protocol("absurd chunk count".into()));
-        }
+        let n_chunks = r.count("chunk", RakeChunkMsg::HEADER_LEN)?;
         let mut chunks = Vec::with_capacity(n_chunks);
         for _ in 0..n_chunks {
             chunks.push(RakeChunkMsg::decode_from(&mut r)?);
         }
-        let n_tombstones = r.u32_le()? as usize;
-        if n_tombstones > 100_000 {
-            return Err(DlibError::Protocol("absurd tombstone count".into()));
-        }
+        let n_tombstones = r.count("tombstone", 4)?;
         let mut tombstones = Vec::with_capacity(n_tombstones);
         for _ in 0..n_tombstones {
             tombstones.push(r.u32_le()?);
@@ -1181,10 +1149,19 @@ mod tests {
             bounds_max: Vec3::ONE,
             user_id: 1,
         };
-        let mut bytes = h.encode().to_vec();
-        bytes[0] = 99; // stamp a wrong version
-        let err = HelloReply::decode(&bytes);
-        assert!(matches!(err, Err(DlibError::Protocol(m)) if m.contains("version")));
+        // A v1 server (12 B/point slabs) must be refused by name, with
+        // both versions in the message, before any geometry is decoded.
+        for theirs in [1u32, 99] {
+            let mut bytes = h.encode().to_vec();
+            bytes[..4].copy_from_slice(&theirs.to_le_bytes());
+            let Err(DlibError::Protocol(m)) = HelloReply::decode(&bytes) else {
+                panic!("v{theirs} hello accepted");
+            };
+            assert!(m.contains("version mismatch"), "{m}");
+            assert!(m.contains(&format!("server speaks v{theirs}")), "{m}");
+            assert!(m.contains(&format!("client v{PROTOCOL_VERSION}")), "{m}");
+        }
+        assert_eq!(PROTOCOL_VERSION, 2);
     }
 
     #[test]
@@ -1226,8 +1203,9 @@ mod tests {
 
     #[test]
     fn table1_payload_accounting() {
-        // A 10 000-particle frame carries 120 000 bytes of path payload
-        // (Table 1 row 1); envelope overhead stays small (< 1 %).
+        // Table 1 row 1 counts a 10 000-particle frame as 120 000 bytes;
+        // the encoded frame is smaller (a constant path is the codec's
+        // 4 B/point floor) and the envelope stays small (< 1 %).
         let frame = GeometryFrame {
             timestep: 0,
             time: 0.0,
@@ -1242,9 +1220,9 @@ mod tests {
         };
         assert_eq!(frame.path_payload_bytes(), 120_000);
         let encoded = frame.encode();
-        assert!(encoded.len() >= 120_000);
+        assert!(encoded.len() >= 40_000);
         assert!(
-            encoded.len() < 121_000,
+            encoded.len() < 40_400,
             "envelope too heavy: {}",
             encoded.len()
         );
@@ -1256,6 +1234,9 @@ mod tests {
             let fr = FrameRequest { advance };
             assert_eq!(FrameRequest::decode(&fr.encode()).unwrap(), fr);
         }
+        let mut bytes = FrameRequest { advance: true }.encode().to_vec();
+        bytes.push(0);
+        assert!(FrameRequest::decode(&bytes).is_err());
     }
 
     mod fuzz {
@@ -1288,28 +1269,6 @@ mod tests {
             #[test]
             fn prop_delta_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
                 let _ = DeltaFrame::decode(&bytes);
-            }
-
-            /// The slab codec must be byte-identical to the retired
-            /// per-element path — encode and decode both directions.
-            #[test]
-            fn prop_points_slab_matches_per_element(raw in proptest::collection::vec((-1e6f32..1e6, -1e6f32..1e6, -1e6f32..1e6), 0..300)) {
-                let pts: Vec<Vec3> = raw.iter().map(|&(x, y, z)| Vec3::new(x, y, z)).collect();
-                let mut slab = BytesMut::new();
-                put_points(&mut slab, &pts);
-                let mut per_element = BytesMut::new();
-                reference_points::put_points(&mut per_element, &pts);
-                prop_assert_eq!(&slab[..], &per_element[..]);
-                // Bulk decoder reads the reference encoding…
-                let mut r = WireReader::new(&per_element);
-                let bulk = get_points(&mut r).unwrap();
-                prop_assert_eq!(&bulk, &pts);
-                prop_assert_eq!(r.remaining(), 0);
-                // …and the reference decoder reads the slab encoding.
-                let mut r = WireReader::new(&slab);
-                let back = reference_points::get_points(&mut r).unwrap();
-                prop_assert_eq!(&back, &pts);
-                prop_assert_eq!(r.remaining(), 0);
             }
 
             /// Bit-flipping a valid frame must decode to Err or to a
@@ -1361,25 +1320,46 @@ mod tests {
         assert!(GeometryFrame::decode(&bytes[..bytes.len() - 5]).is_err());
     }
 
+    /// A count the rest of the message cannot hold is rejected by name
+    /// before anything is allocated for it — 30 bytes must not be able to
+    /// demand a million `PathMsg`s.
     #[test]
-    fn truncated_point_slab_rejected() {
-        // A path whose length prefix claims more points than the slab
-        // that follows must fail cleanly, not read out of bounds.
+    fn hostile_counts_rejected_by_name_before_allocating() {
+        let named = |res: Result<()>, what: &str| {
+            let Err(DlibError::Protocol(m)) = res else {
+                panic!("hostile {what} count accepted");
+            };
+            assert!(m.starts_with(&format!("{what} count")), "{m}");
+        };
+        let frame_with = |rakes: u32, paths: u32| {
+            let mut b = BytesMut::new();
+            b.put_slice(&[0u8; 16]); // timestep, time, revision
+            b.put_u32_le_(rakes);
+            b.put_u32_le_(paths);
+            b.put_slice(&[0u8; 6]);
+            GeometryFrame::decode(&b).map(|_| ())
+        };
+        named(frame_with(0, 1_000_000), "path");
+        named(frame_with(100_000, 0), "rake");
+        // Delta frame: flags, timestep, time, revision, baseline, 0 rakes.
+        let delta_with = |tail: &[u32]| {
+            let mut b = BytesMut::new();
+            b.put_slice(&[0u8; 32]);
+            for v in tail {
+                b.put_u32_le_(*v);
+            }
+            DeltaFrame::decode(&b).map(|_| ())
+        };
+        named(delta_with(&[100_000]), "chunk");
+        named(delta_with(&[1, 7, 0, 0, 1_000_000]), "chunk path");
+        named(delta_with(&[0, 100_000]), "tombstone");
+        named(delta_with(&[0, 0, 100_000]), "user");
+        // Path: rake id, kind, then a point count with nothing behind it.
         let mut b = BytesMut::new();
-        b.put_u32_le_(10); // claims 10 points = 120 bytes
-        b.put_slice(&[0u8; 60]); // only 5 points present
-        let mut r = WireReader::new(&b);
-        assert!(matches!(get_points(&mut r), Err(DlibError::Protocol(_))));
-    }
-
-    #[test]
-    fn oversized_point_slab_rejected() {
-        // A count beyond the cap is rejected before any allocation.
-        let mut b = BytesMut::new();
-        b.put_u32_le_((MAX_POINTS_PER_PATH + 1) as u32);
-        let mut r = WireReader::new(&b);
-        let err = get_points(&mut r);
-        assert!(matches!(err, Err(DlibError::Protocol(m)) if m.contains("absurd")));
+        b.put_slice(&[0u8; 8]);
+        b.put_u32_le_(10);
+        b.put_slice(&[0u8; 39]); // ten points need at least 40 bytes
+        named(get_path(&mut WireReader::new(&b)).map(|_| ()), "point");
     }
 
     #[test]

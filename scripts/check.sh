@@ -34,8 +34,6 @@ RUST_BACKTRACE=1 cargo test -q --test chaos_resync
 # timestep) under live looped playback; recovery counters must match the
 # injected schedule exactly and a clean disk must report all zeros.
 PROPTEST_CASES=32 RUST_BACKTRACE=1 cargo test -q --test disk_chaos
-cargo run --release -p dvw-bench --bin bench_frame -- --quick
-cargo run --release -p dvw-bench --bin bench_delta -- --quick
 cargo run --release -p dvw-bench --bin bench_trace -- --quick
 cargo run --release -p dvw-bench --bin bench_storage -- --quick
 # Scalar-vs-batch streakline bitwise equality under a pinned case count
@@ -45,6 +43,10 @@ PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test 
 # bit patterns (NaN payloads, -0.0, denormals), and truncation/corruption
 # must be rejected, never mis-decoded.
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --test codec_roundtrip
+# Wire point codec: bit-exact round trip on arbitrary bit patterns, equal
+# to its straight-line reference encoder, inside its size bounds, and a
+# named error on every truncation or malformed byte.
+PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
 # The end-to-end harness: its own fmt/clippy/unit tests, a --quick smoke
 # of all five workloads in both modes, and BENCHMARK.json <-> --list.
 sh benchmark/check.sh

@@ -8,15 +8,16 @@ use vecmath::{Pose, Vec3};
 use vr::stereo::{render_anaglyph, StereoCamera};
 use vr::{Framebuffer, Rgb};
 
-/// A synthetic scene shaped like a windtunnel frame: 100 polylines of 200
-/// points swirling around the origin.
+/// A synthetic scene shaped like the benchmark's `playback_wire` frame:
+/// 200 polylines of 501 points swirling around the origin, every segment
+/// under a pixel long.
 fn scene() -> Vec<(Vec<Vec3>, u8)> {
-    (0..100)
+    (0..200)
         .map(|l| {
-            let phase = l as f32 * 0.1;
-            let line: Vec<Vec3> = (0..200)
+            let phase = l as f32 * 0.05;
+            let line: Vec<Vec3> = (0..501)
                 .map(|s| {
-                    let t = s as f32 * 0.05;
+                    let t = s as f32 * 0.01;
                     Vec3::new(
                         (t + phase).cos() * (1.0 + 0.1 * t),
                         (t * 0.7).sin(),
@@ -33,7 +34,7 @@ fn bench_mono(c: &mut Criterion) {
     let lines = scene();
     let cam = StereoCamera::new(Pose::new(Vec3::new(0.0, 0.0, 2.0), Default::default()));
     let mvp = cam.projection() * cam.head.view_matrix();
-    c.bench_function("render_mono_100x200_640x480", |b| {
+    c.bench_function("render_mono_200x501_640x480", |b| {
         let mut fb = Framebuffer::new(640, 480);
         b.iter(|| {
             fb.clear(Rgb::BLACK);
@@ -48,7 +49,7 @@ fn bench_mono(c: &mut Criterion) {
 fn bench_stereo(c: &mut Criterion) {
     let lines = scene();
     let cam = StereoCamera::new(Pose::new(Vec3::new(0.0, 0.0, 2.0), Default::default()));
-    c.bench_function("render_anaglyph_100x200_640x480", |b| {
+    c.bench_function("render_anaglyph_200x501_640x480", |b| {
         let mut fb = Framebuffer::new(640, 480);
         b.iter(|| {
             fb.clear(Rgb::BLACK);

@@ -6,10 +6,13 @@
 //! * Figure 3: "Streamlines … from the same seedpoints as in figure 2,
 //!   but at a later time."
 //!
-//! Output: `bench_out/fig{1,2,3}_{stereo,mono}.ppm`. The stereo images
-//! use the paper's exact red/blue writemask pipeline; the mono images are
-//! the "conventional screen" rendering of §6. Figure 2 vs figure 3 shows
-//! the unsteadiness: same seeds, visibly different paths.
+//! Output: `fig{1,2,3}_{stereo,mono}.ppm` in the directory given as the
+//! one optional argument, default `bench_out/` (the committed golden
+//! copies, which `scripts/check.sh` renders elsewhere and compares
+//! against byte for byte). The stereo images use the paper's exact
+//! red/blue writemask pipeline; the mono images are the "conventional
+//! screen" rendering of §6. Figure 2 vs figure 3 shows the unsteadiness:
+//! same seeds, visibly different paths.
 
 use bench_support::{paper_spec, tapered_field};
 use cfd::tapered_cylinder::TaperedCylinderFlow;
@@ -106,7 +109,10 @@ fn render_to(out_dir: &Path, name: &str, spec: &cfd::OGridSpec, paths: &[(Vec<Ve
 }
 
 fn main() {
-    let out_dir = Path::new("bench_out");
+    let out_dir = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "bench_out".into());
+    let out_dir = Path::new(&out_dir);
     std::fs::create_dir_all(out_dir).unwrap();
     let spec = paper_spec();
     let grid = spec.build().unwrap();

@@ -13,6 +13,7 @@
 //! [`Framebuffer`] implements exactly that: per-channel writemask, Z
 //! clear independent of color clear, DDA lines with depth interpolation.
 
+use crate::stereo::{Eye, StereoCamera};
 use vecmath::{Mat4, Vec3};
 
 /// 8-bit RGB color.
@@ -84,12 +85,17 @@ impl ColorMask {
 }
 
 /// RGB framebuffer with f32 Z-buffer (smaller z = nearer; z is the NDC
-/// depth in [-1, 1] after projection).
+/// depth in [-1, 1] after projection). Colour is three planes, so the two
+/// eye passes of [`render_anaglyph`] own disjoint bits.
 pub struct Framebuffer {
     width: usize,
     height: usize,
-    color: Vec<Rgb>,
+    r: Vec<u8>,
+    g: Vec<u8>,
+    b: Vec<u8>,
     depth: Vec<f32>,
+    /// The right eye's Z while it draws; then the left eye's, for reuse.
+    spare_depth: Vec<f32>,
     mask: ColorMask,
 }
 
@@ -98,8 +104,11 @@ impl Framebuffer {
         Framebuffer {
             width,
             height,
-            color: vec![Rgb::BLACK; width * height],
+            r: vec![0; width * height],
+            g: vec![0; width * height],
+            b: vec![0; width * height],
             depth: vec![f32::INFINITY; width * height],
+            spare_depth: Vec::new(),
             mask: ColorMask::ALL,
         }
     }
@@ -123,10 +132,13 @@ impl Framebuffer {
     /// Clear color planes (honours the writemask, like the hardware) and
     /// the Z-buffer.
     pub fn clear(&mut self, color: Rgb) {
-        for i in 0..self.color.len() {
-            self.write_pixel_unchecked(i, color);
+        let target = self.target();
+        for (plane, v) in target.planes.into_iter().zip([color.r, color.g, color.b]) {
+            if let Some(plane) = plane {
+                plane.fill(v);
+            }
         }
-        self.clear_depth();
+        target.depth.fill(f32::INFINITY);
     }
 
     /// Clear only the Z planes — the between-eyes step of §3.
@@ -134,101 +146,64 @@ impl Framebuffer {
         self.depth.fill(f32::INFINITY);
     }
 
-    #[inline]
-    fn write_pixel_unchecked(&mut self, idx: usize, c: Rgb) {
-        let px = &mut self.color[idx];
-        if self.mask.r {
-            px.r = c.r;
-        }
-        if self.mask.g {
-            px.g = c.g;
-        }
-        if self.mask.b {
-            px.b = c.b;
+    /// The whole framebuffer as one pass sees it under the current mask.
+    fn target(&mut self) -> Target<'_> {
+        let m = self.mask;
+        let planes = [(m.r, &mut self.r), (m.g, &mut self.g), (m.b, &mut self.b)];
+        Target {
+            width: self.width,
+            height: self.height,
+            depth: &mut self.depth,
+            planes: planes.map(|(on, plane)| on.then_some(&mut plane[..])),
         }
     }
 
     /// Depth-tested, masked pixel write.
     pub fn set_pixel(&mut self, x: i32, y: i32, z: f32, c: Rgb) {
-        if x < 0 || y < 0 || x >= self.width as i32 || y >= self.height as i32 {
-            return;
-        }
-        let idx = y as usize * self.width + x as usize;
-        if z <= self.depth[idx] {
-            self.depth[idx] = z;
-            self.write_pixel_unchecked(idx, c);
-        }
+        self.target().plot((x, y, z), c);
     }
 
     pub fn pixel(&self, x: usize, y: usize) -> Rgb {
-        self.color[y * self.width + x]
+        let i = y * self.width + x;
+        Rgb::new(self.r[i], self.g[i], self.b[i])
     }
 
     pub fn depth_at(&self, x: usize, y: usize) -> f32 {
         self.depth[y * self.width + x]
     }
 
+    fn colors(&self) -> impl Iterator<Item = Rgb> + '_ {
+        let rgb = self.r.iter().zip(&self.g).zip(&self.b);
+        rgb.map(|((&r, &g), &b)| Rgb { r, g, b })
+    }
+
     /// Raw RGB bytes, row-major top-to-bottom (PPM order).
     pub fn rgb_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.color.len() * 3);
-        for px in &self.color {
-            out.push(px.r);
-            out.push(px.g);
-            out.push(px.b);
-        }
-        out
+        self.colors().flat_map(|c| [c.r, c.g, c.b]).collect()
     }
 
     /// Count pixels for which `pred` holds — test/diagnostic helper.
     pub fn count_pixels(&self, pred: impl Fn(Rgb) -> bool) -> usize {
-        self.color.iter().filter(|&&c| pred(c)).count()
+        self.colors().filter(|&c| pred(c)).count()
     }
 
     /// Draw a depth-tested line between two screen-space points
     /// (x, y in pixels, z in NDC depth) with DDA interpolation.
     pub fn draw_line_screen(&mut self, a: (f32, f32, f32), b: (f32, f32, f32), c: Rgb) {
-        let dx = b.0 - a.0;
-        let dy = b.1 - a.1;
-        let steps = dx.abs().max(dy.abs()).ceil() as i32;
-        if steps == 0 {
-            self.set_pixel(a.0.round() as i32, a.1.round() as i32, a.2, c);
-            return;
-        }
-        for s in 0..=steps {
-            let t = s as f32 / steps as f32;
-            let x = a.0 + dx * t;
-            let y = a.1 + dy * t;
-            let z = a.2 + (b.2 - a.2) * t;
-            self.set_pixel(x.round() as i32, y.round() as i32, z, c);
-        }
+        self.target().line(a, b, c);
     }
 
     /// Project a world-space point through `mvp` into (pixel x, pixel y,
     /// ndc z); `None` when behind the near plane (w ≤ ε).
     pub fn project(&self, mvp: &Mat4, p: Vec3) -> Option<(f32, f32, f32)> {
-        let h = mvp.transform_point_h(p);
-        if h[3] <= 1.0e-6 {
-            return None;
-        }
-        let ndc_x = h[0] / h[3];
-        let ndc_y = h[1] / h[3];
-        let ndc_z = h[2] / h[3];
-        Some((
-            (ndc_x * 0.5 + 0.5) * (self.width as f32 - 1.0),
-            (0.5 - ndc_y * 0.5) * (self.height as f32 - 1.0), // y down
-            ndc_z,
-        ))
+        project(self.width, self.height, mvp, p)
     }
 
     /// Draw a world-space polyline through an MVP matrix. Segments with an
     /// endpoint behind the eye are dropped (simple near-plane policy —
     /// adequate for path geometry that lives inside the scene).
     pub fn draw_polyline(&mut self, mvp: &Mat4, points: &[Vec3], color: Rgb) {
-        for w in points.windows(2) {
-            if let (Some(a), Some(b)) = (self.project(mvp, w[0]), self.project(mvp, w[1])) {
-                self.draw_line_screen(a, b, color);
-            }
-        }
+        self.target().polyline(mvp, points, color);
     }
 
     /// Draw world-space points.
@@ -301,6 +276,149 @@ impl Framebuffer {
             self.fill_triangle_screen(p[0], p[1], p[2], c);
         }
     }
+}
+
+/// Render a scene of polylines in the paper's red/blue two-channel
+/// stereo: left eye in red shades, Z cleared, right eye in blue behind a
+/// writemask protecting the red planes. `shade` is applied to both eyes.
+/// The left eye owns red and the caller's Z, the right eye green, blue and
+/// a fresh +∞ Z, kept afterwards: sharing no bits, they are drawn on two
+/// threads, bit-identical to one after the other. Ends at mask `ALL`.
+pub fn render_anaglyph<L: AsRef<[Vec3]> + Sync>(
+    fb: &mut Framebuffer,
+    camera: &StereoCamera,
+    polylines: &[(L, u8)],
+) {
+    let mut right_depth = std::mem::take(&mut fb.spare_depth);
+    let eye = |depth, planes, eye, color: fn(u8) -> Rgb| {
+        let mut target = Target {
+            width: fb.width,
+            height: fb.height,
+            depth,
+            planes,
+        };
+        let mvp = camera.mvp(eye);
+        for (line, shade) in polylines {
+            target.polyline(&mvp, line.as_ref(), color(*shade));
+        }
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            right_depth.clear();
+            right_depth.resize(fb.width * fb.height, f32::INFINITY);
+            let planes = [None, Some(&mut fb.g[..]), Some(&mut fb.b[..])];
+            eye(&mut right_depth[..], planes, Eye::Right, Rgb::blue);
+        });
+        let planes = [Some(&mut fb.r[..]), None, None];
+        eye(&mut fb.depth[..], planes, Eye::Left, Rgb::red);
+    });
+    fb.spare_depth = std::mem::replace(&mut fb.depth, right_depth);
+    fb.mask = ColorMask::ALL;
+}
+
+fn project(width: usize, height: usize, mvp: &Mat4, p: Vec3) -> Option<(f32, f32, f32)> {
+    let h = mvp.transform_point_h(p);
+    if h[3] <= 1.0e-6 {
+        return None;
+    }
+    let ndc_x = h[0] / h[3];
+    let ndc_y = h[1] / h[3];
+    let ndc_z = h[2] / h[3];
+    Some((
+        (ndc_x * 0.5 + 0.5) * (width as f32 - 1.0),
+        (0.5 - ndc_y * 0.5) * (height as f32 - 1.0), // y down
+        ndc_z,
+    ))
+}
+
+/// One pass's Z buffer and the colour planes (r, g, b) its mask lets through.
+struct Target<'a> {
+    width: usize,
+    height: usize,
+    depth: &'a mut [f32],
+    planes: [Option<&'a mut [u8]>; 3],
+}
+
+impl Target<'_> {
+    fn plot(&mut self, (x, y, z): (i32, i32, f32), c: Rgb) {
+        if x < 0 || y < 0 || x >= self.width as i32 || y >= self.height as i32 {
+            return;
+        }
+        let idx = y as usize * self.width + x as usize;
+        if z <= self.depth[idx] {
+            self.depth[idx] = z;
+            for (plane, v) in self.planes.iter_mut().zip([c.r, c.g, c.b]) {
+                if let Some(plane) = plane {
+                    plane[idx] = v;
+                }
+            }
+        }
+    }
+
+    /// DDA: sample `s` of `steps` lands on `a + (b − a)·(s / steps)`, rounded.
+    fn line(&mut self, a: (f32, f32, f32), b: (f32, f32, f32), c: Rgb) {
+        let d = (b.0 - a.0, b.1 - a.1, b.2 - a.2);
+        let steps = d.0.abs().max(d.1.abs()).ceil() as i32;
+        if steps == 0 {
+            return self.plot((a.0.round() as i32, a.1.round() as i32, a.2), c);
+        }
+        let sample = |s: i32| {
+            let t = s as f32 / steps as f32;
+            let (x, y) = ((a.0 + d.0 * t).round(), (a.1 + d.1 * t).round());
+            (x as i32, y as i32, a.2 + d.2 * t)
+        };
+        // Longer than the viewport (a point grazing the eye: ~1e8 px)?
+        // Walk only the samples that land on it.
+        let (mut first, mut last) = (1, i64::from(steps));
+        if steps as usize > self.width.max(self.height) {
+            let (x0, x1) = on_screen(steps, self.width, |s| sample(s).0);
+            let (y0, y1) = on_screen(steps, self.height, |s| sample(s).1);
+            (first, last) = (x0.max(y0), x1.min(y1));
+        }
+        self.plot(sample(0), c);
+        for s in first..=last {
+            self.plot(sample(s as i32), c);
+        }
+    }
+
+    /// Projects each vertex once; a segment with an endpoint behind the
+    /// eye is dropped.
+    fn polyline(&mut self, mvp: &Mat4, points: &[Vec3], c: Rgb) {
+        let mut prev = None;
+        for &p in points {
+            let next = project(self.width, self.height, mvp, p);
+            if let (Some(a), Some(b)) = (prev, next) {
+                self.line(a, b, c);
+            }
+            prev = next;
+        }
+    }
+}
+
+/// The samples in `1..=steps` whose pixel coordinate `at(s)` lies in
+/// `0..len`. Each step of `a + d·(s / steps)` and `round` is monotone, so
+/// from sample 1 on (sample 0 can be `±∞·0` = NaN, i.e. pixel 0) the
+/// coordinate moves one way and those samples form one run.
+fn on_screen(steps: i32, len: usize, at: impl Fn(i32) -> i32) -> (i64, i64) {
+    let max = len as i64 - 1;
+    // Mirror a falling run (v ↦ max − v) to search it as a rising one.
+    let (base, sign) = if at(steps) < at(1) { (max, -1) } else { (0, 1) };
+    let at = |s| base + sign * i64::from(at(s));
+    let first = bisect(steps, |s| at(s) < 0);
+    (first, bisect(steps, |s| at(s) <= max) - 1)
+}
+
+/// The first `s` in `1..=steps` where `p` is false (`steps + 1` if none);
+/// `p` must hold on a prefix.
+fn bisect(steps: i32, p: impl Fn(i32) -> bool) -> i64 {
+    let mut held = 0; // `p` holds on `1..=held`
+    for bit in (0..31).rev() {
+        let s = held + (1 << bit);
+        if s <= i64::from(steps) && p(s as i32) {
+            held = s;
+        }
+    }
+    held + 1
 }
 
 #[cfg(test)]
@@ -384,6 +502,18 @@ mod tests {
         fb.draw_line_screen((-10.0, 2.0, 0.0), (10.0, 2.0, 0.0), Rgb::WHITE);
         // Line crosses the buffer: in-bounds pixels drawn, no panic.
         assert!(fb.count_pixels(|c| c == Rgb::WHITE) >= 4);
+    }
+
+    #[test]
+    fn huge_segment_walks_only_its_visible_samples() {
+        let mut fb = Framebuffer::new(640, 480);
+        let started = std::time::Instant::now();
+        fb.draw_line_screen((-1.0e9, -1.0e9, 0.0), (1.0e9, 1.0e9, 0.0), Rgb::WHITE);
+        assert!(started.elapsed() < std::time::Duration::from_millis(20));
+        // At 1e9 px an f32 sample step is ~100 px: a sparse diagonal.
+        let lit = (0..480).filter(|&i| fb.pixel(i, i) == Rgb::WHITE).count();
+        assert!(lit > 0);
+        assert_eq!(fb.count_pixels(|c| c == Rgb::WHITE), lit);
     }
 
     #[test]

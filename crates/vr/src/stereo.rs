@@ -6,7 +6,6 @@
 //! ±ipd/2 along the head's local X axis, each rendering through the same
 //! symmetric frustum (the BOOM's LEEP optics were identical per eye).
 
-use crate::render::{ColorMask, Framebuffer, Rgb};
 use vecmath::{Mat4, Pose, Vec3};
 
 /// Which eye a pass renders.
@@ -73,32 +72,12 @@ impl StereoCamera {
     }
 }
 
-/// Render a scene of polylines in the paper's red/blue two-channel
-/// stereo: left eye in red shades, Z cleared, right eye in blue behind a
-/// writemask protecting the red planes. `shade` is applied to both eyes.
-pub fn render_anaglyph(fb: &mut Framebuffer, camera: &StereoCamera, polylines: &[(Vec<Vec3>, u8)]) {
-    // Left eye: red only.
-    fb.set_mask(ColorMask::RED_ONLY);
-    let mvp_l = camera.mvp(Eye::Left);
-    for (line, shade) in polylines {
-        fb.draw_polyline(&mvp_l, line, Rgb::red(*shade));
-    }
-    // "The Z-buffer bit planes are cleared between the drawing of the
-    // left- and right-eye images, but the color (red) bit planes are
-    // not."
-    fb.clear_depth();
-    // Right eye: blue behind the red-protecting writemask.
-    fb.set_mask(ColorMask::PROTECT_RED);
-    let mvp_r = camera.mvp(Eye::Right);
-    for (line, shade) in polylines {
-        fb.draw_polyline(&mvp_r, line, Rgb::blue(*shade));
-    }
-    fb.set_mask(ColorMask::ALL);
-}
+pub use crate::render::render_anaglyph;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::{ColorMask, Framebuffer};
     use vecmath::Quat;
 
     fn head_at_origin() -> Pose {
@@ -158,6 +137,22 @@ mod tests {
         assert_eq!(fb.count_pixels(|c| c.g > 0), 0);
         // And the mask was restored.
         assert_eq!(fb.mask(), ColorMask::ALL);
+    }
+
+    #[test]
+    fn segment_grazing_the_eye_renders_fast() {
+        // 1e-5 in front of both eyes, the far endpoint projects ~1e7 px
+        // off screen; walking every sample of that stalled a frame for
+        // 250 ms.
+        let mut fb = Framebuffer::new(640, 480);
+        let cam = StereoCamera::new(head_at_origin());
+        let head = |x, y, z| cam.head.transform_point(Vec3::new(x, y, z));
+        let line = vec![head(0.0, 0.0, -3.0), head(0.3, 0.2, -1.0e-5)];
+        let started = std::time::Instant::now();
+        render_anaglyph(&mut fb, &cam, &[(line, 200)]);
+        assert!(started.elapsed() < std::time::Duration::from_millis(20));
+        assert!(fb.count_pixels(|c| c.r > 0) > 100);
+        assert!(fb.count_pixels(|c| c.b > 0) > 100);
     }
 
     #[test]

@@ -224,27 +224,20 @@ impl WindtunnelClient {
         palette: &Palette,
         self_user: u64,
     ) {
-        let mut lines: Vec<(Vec<Vec3>, u8)> =
-            Vec::with_capacity(frame.paths.len() + frame.rakes.len() + frame.users.len() * 2);
-        for p in &frame.paths {
-            let shade = match p.kind {
-                PathKind::Streamline => palette.streamline,
-                PathKind::ParticlePath => palette.particle_path,
-                PathKind::Streak => palette.streak,
-            };
-            lines.push((p.points.clone(), shade));
-        }
-        for r in &frame.rakes {
-            lines.push((vec![r.a, r.b], palette.rake));
-        }
-        for u in &frame.users {
-            if u.id == self_user {
-                continue;
-            }
-            for glyph in head_glyph(&u.head) {
-                lines.push((glyph, palette.rake));
-            }
-        }
+        let shade = |kind| match kind {
+            PathKind::Streamline => palette.streamline,
+            PathKind::ParticlePath => palette.particle_path,
+            PathKind::Streak => palette.streak,
+        };
+        let rakes: Vec<[Vec3; 2]> = frame.rakes.iter().map(|r| [r.a, r.b]).collect();
+        let others = frame.users.iter().filter(|u| u.id != self_user);
+        let heads: Vec<Vec<Vec3>> = others.flat_map(|u| head_glyph(&u.head)).collect();
+        let paths = frame.paths.iter().map(|p| (&p.points[..], shade(p.kind)));
+        let rest = rakes
+            .iter()
+            .map(|r| &r[..])
+            .chain(heads.iter().map(|g| &g[..]));
+        let lines: Vec<_> = paths.chain(rest.map(|l| (l, palette.rake))).collect();
         render_anaglyph(fb, camera, &lines);
     }
 

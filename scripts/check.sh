@@ -47,6 +47,18 @@ PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --te
 # to its straight-line reference encoder, inside its size bounds, and a
 # named error on every truncation or malformed byte.
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
+# Renderer: the concurrent two-eye anaglyph (and the client's display path
+# over borrowed paths) bit-identical to the sequential oracle, every
+# colour byte and Z bit; then the committed golden PPMs (six from
+# `figures`, one from the quickstart example) reproduced byte for byte.
+PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-vr -p dvw-windtunnel --test render_equiv
+root=$(pwd)
+figs=$(mktemp -d)
+cargo run --release -q -p dvw-bench --bin figures -- "$figs" > /dev/null
+cargo build --release -q --example quickstart
+(cd "$figs" && "$root/target/release/examples/quickstart" > /dev/null)
+for f in bench_out/*.ppm; do cmp "$f" "$figs/$(basename "$f")"; done
+rm -rf "$figs"
 # The end-to-end harness: its own fmt/clippy/unit tests, a --quick smoke
 # of all five workloads in both modes, and BENCHMARK.json <-> --list.
 sh benchmark/check.sh

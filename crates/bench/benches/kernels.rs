@@ -79,7 +79,7 @@ fn bench_integrators(c: &mut Criterion) {
 fn bench_table3_kernels(c: &mut Criterion) {
     let spec = small_spec();
     let (field, domain) = tapered_field(spec, 3.0);
-    let bench = BenchField::new(field, domain);
+    let bench = BenchField::new(field, spec.build().expect("grid"), domain);
     let seeds = paper_benchmark_seeds(spec.dims, 100);
     let cfg = TraceConfig {
         dt: 0.35,

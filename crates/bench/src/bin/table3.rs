@@ -12,10 +12,11 @@
 //! 64×64×32 tapered-cylinder field with every kernel at several thread
 //! counts, print measured time and the derived Table 3 columns, and
 //! reprint the paper's own rows for comparison. Absolute times are ~100×
-//! faster on 2026 hardware; the shape to check is the *ordering*:
-//! vectorized(SoA) beats scalar at equal threads, parallel scales with
-//! cores, and the hybrid (the paper's proposed future optimization) wins
-//! overall.
+//! faster on 2026 hardware. The rows differ in more than layout: the
+//! scalar rows sample the field three times per RK2 step (stagnation
+//! test, then `k1` at the same point, then `k2`), the lockstep rows and
+//! the production row twice, and only the production row also maps
+//! every point to physical space (the serving path's whole job).
 
 use bench_support::{paper_benchmark_seeds, paper_spec, tapered_field, TablePrinter};
 use flowfield::{BlendedPair, BlendedPairSoA};
@@ -48,7 +49,7 @@ fn main() {
     let (field, domain) = tapered_field(spec, 12.0);
     let field_aos = field.clone();
     let field_soa = field.to_soa();
-    let bench = BenchField::new(field, domain);
+    let bench = BenchField::new(field, spec.build().expect("grid"), domain);
     let seeds = paper_benchmark_seeds(spec.dims, PAPER_STREAMLINES);
     // dt chosen so a 200-step path stays inside the O-grid disc for
     // most seeds (the paper's benchmark assumes full-length streamlines).
@@ -67,7 +68,7 @@ fn main() {
         "streamlines@200",
     ]);
 
-    let thread_counts = [1usize, 3, 4, 8];
+    let thread_counts = [1usize, 2, 4, 8];
     for &kernel in &Kernel::ALL {
         let threads: &[usize] = match kernel {
             Kernel::Scalar | Kernel::Vector => &[1],
@@ -116,12 +117,7 @@ fn main() {
         "points",
         "max particles@10fps",
     ]);
-    for &kernel in &[
-        Kernel::Scalar,
-        Kernel::Parallel,
-        Kernel::Vector,
-        Kernel::VectorParallel,
-    ] {
+    for &kernel in &Kernel::ALL {
         let threads: &[usize] = match kernel {
             Kernel::Scalar | Kernel::Vector => &[1],
             _ => &thread_counts,
@@ -223,10 +219,10 @@ fn main() {
     println!(
         "  scalar-parallel x4 = 0.24 s | vectorized x3 = 0.19 s | workstation x8 = 0.13-0.14 s"
     );
-    println!("shape to verify: the vectorized (SoA lockstep) kernel beats the scalar kernel at");
-    println!("equal thread counts — the paper's 0.19 s vs 0.24 s finding. On multi-core hosts the");
-    println!("parallel kernels additionally scale with threads and the hybrid wins overall; on a");
-    println!("single-core host (cores = 1) the thread rows collapse to the 1-thread time, which");
-    println!("is itself faithful to the paper's observation that vectorization won even with");
-    println!("fewer effective processors (3 vs 4).");
+    println!("what the rows measure: scalar rows take 3 field samples per RK2 step (the");
+    println!("stagnation test and k1 sample the same point), the lockstep (vectorized) rows and");
+    println!("the production row take the paper's 2, and only the production row also maps each");
+    println!("point to physical space. Lockstep vs scalar therefore mixes layout with sample");
+    println!("count; production vs scalar-parallel is the serving kernel against the trace");
+    println!("half of the path it replaced. Thread rows scale only up to the host parallelism.");
 }

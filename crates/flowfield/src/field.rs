@@ -161,6 +161,35 @@ impl VectorField {
             base + nij + ni + 1,
         ]
     }
+
+    /// Corner indices and trilinear weights of the cell holding `p`.
+    #[inline]
+    fn corners(&self, p: Vec3) -> Option<([usize; 8], [f32; 8])> {
+        let ((i0, j0, k0), (fx, fy, fz)) = self.dims.cell_of(p)?;
+        let idx = VectorField::corner_indices(self.dims, i0, j0, k0);
+        Some((idx, trilinear_weights(fx, fy, fz)))
+    }
+
+    /// Weighted sum of the corners `idx`, in corner order.
+    #[inline]
+    fn blend(&self, idx: &[usize; 8], w: &[f32; 8]) -> Option<Vec3> {
+        let mut acc = Vec3::ZERO;
+        for (&n, &wc) in idx.iter().zip(w) {
+            acc += *self.data.get(n)? * wc;
+        }
+        Some(acc)
+    }
+
+    /// `(self.sample(p)?, other.sample(p)?)` bit for bit, from one cell
+    /// location and one set of weights; `None` if the dims differ.
+    #[inline]
+    pub fn sample_pair(&self, other: &VectorField, p: Vec3) -> Option<(Vec3, Vec3)> {
+        if other.dims != self.dims {
+            return None;
+        }
+        let (idx, w) = self.corners(p)?;
+        Some((self.blend(&idx, &w)?, other.blend(&idx, &w)?))
+    }
 }
 
 impl FieldSample for VectorField {
@@ -171,14 +200,8 @@ impl FieldSample for VectorField {
 
     #[inline]
     fn sample(&self, p: Vec3) -> Option<Vec3> {
-        let ((i0, j0, k0), (fx, fy, fz)) = self.dims.cell_of(p)?;
-        let idx = VectorField::corner_indices(self.dims, i0, j0, k0);
-        let w = trilinear_weights(fx, fy, fz);
-        let mut acc = Vec3::ZERO;
-        for c in 0..8 {
-            acc += self.data[idx[c]] * w[c];
-        }
-        Some(acc)
+        let (idx, w) = self.corners(p)?;
+        self.blend(&idx, &w)
     }
 }
 

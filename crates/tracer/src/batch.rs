@@ -23,11 +23,14 @@
 //!   the Convex's 128-entry vector registers),
 //! * [`trace_batch_vector_parallel`] — the proposed hybrid: rayon across
 //!   groups of [`VECTOR_GROUP`] streamlines, lockstep within each group.
+//!
+//! The server runs [`trace_batch_physical`]: [`streamline_physical`]
+//! (two field accesses per RK2 step, mapped in the same sweep) per thread.
 
 use crate::domain::Domain;
-use crate::streamline::{streamline, TraceConfig};
+use crate::streamline::{streamline, streamline_physical, TraceConfig};
 use crate::Polyline;
-use flowfield::{VectorField, VectorFieldSoA};
+use flowfield::{CurvilinearGrid, VectorField, VectorFieldSoA};
 use rayon::prelude::*;
 use vecmath::Vec3;
 
@@ -59,6 +62,21 @@ pub fn trace_batch_parallel(
     seeds
         .par_iter()
         .map(|&s| streamline(field, domain, s, cfg))
+        .collect()
+}
+
+/// [`streamline_physical`] across threads, in seed order; seeds outside
+/// the domain yield no path.
+pub fn trace_batch_physical(
+    field: &VectorField,
+    grid: &CurvilinearGrid,
+    domain: &Domain,
+    seeds: &[Vec3],
+    cfg: &TraceConfig,
+) -> Vec<Polyline> {
+    seeds
+        .par_iter()
+        .filter_map(|&s| streamline_physical(field, grid, domain, s, cfg))
         .collect()
 }
 

@@ -10,12 +10,13 @@
 //! performance scales with the number of particles".
 
 use crate::batch::{
-    trace_batch_parallel, trace_batch_scalar, trace_batch_vector, trace_batch_vector_parallel,
+    trace_batch_parallel, trace_batch_physical, trace_batch_scalar, trace_batch_vector,
+    trace_batch_vector_parallel,
 };
 use crate::domain::Domain;
 use crate::streamline::TraceConfig;
 use crate::Polyline;
-use flowfield::{Dims, VectorField, VectorFieldSoA};
+use flowfield::{CurvilinearGrid, Dims, VectorField, VectorFieldSoA};
 use std::time::{Duration, Instant};
 use vecmath::Vec3;
 
@@ -41,14 +42,18 @@ pub enum Kernel {
     Vector,
     /// Parallel across groups, vectorized within (the proposed hybrid).
     VectorParallel,
+    /// The serving kernel: `Parallel` at two field accesses per RK2 step
+    /// (the scalar rows take three), mapped to physical space as it goes.
+    Production,
 }
 
 impl Kernel {
-    pub const ALL: [Kernel; 4] = [
+    pub const ALL: [Kernel; 5] = [
         Kernel::Scalar,
         Kernel::Parallel,
         Kernel::Vector,
         Kernel::VectorParallel,
+        Kernel::Production,
     ];
 
     pub fn label(&self) -> &'static str {
@@ -57,22 +62,25 @@ impl Kernel {
             Kernel::Parallel => "scalar-parallel",
             Kernel::Vector => "vectorized x1",
             Kernel::VectorParallel => "vector+parallel",
+            Kernel::Production => "production (traced+mapped)",
         }
     }
 }
 
-/// Benchmark inputs: both field layouts plus the domain.
+/// Benchmark inputs: both field layouts, the grid and the domain.
 pub struct BenchField {
     pub aos: VectorField,
     pub soa: VectorFieldSoA,
+    pub grid: CurvilinearGrid,
     pub domain: Domain,
 }
 
 impl BenchField {
-    pub fn new(aos: VectorField, domain: Domain) -> BenchField {
+    pub fn new(aos: VectorField, grid: CurvilinearGrid, domain: Domain) -> BenchField {
         BenchField {
             soa: aos.to_soa(),
             aos,
+            grid,
             domain,
         }
     }
@@ -120,6 +128,9 @@ pub fn run_kernel(
         Kernel::Vector => trace_batch_vector(&field.soa, &field.domain, seeds, cfg),
         Kernel::VectorParallel => {
             trace_batch_vector_parallel(&field.soa, &field.domain, seeds, cfg)
+        }
+        Kernel::Production => {
+            trace_batch_physical(&field.aos, &field.grid, &field.domain, seeds, cfg)
         }
     };
     (lines, start.elapsed())
@@ -199,7 +210,11 @@ mod tests {
             let c = 11.5;
             Vec3::new(-(j as f32 - c) * 0.1, (i as f32 - c) * 0.1, 0.05)
         });
-        let field = BenchField::new(aos, Domain::boxed(dims));
+        let grid = CurvilinearGrid::from_fn(dims, |i, j, k| {
+            Vec3::new(i as f32, j as f32 * 0.5, k as f32 * 2.0)
+        })
+        .unwrap();
+        let field = BenchField::new(aos, grid, Domain::boxed(dims));
         let seeds = benchmark_seeds(dims, 10);
         let cfg = TraceConfig {
             dt: 0.2,

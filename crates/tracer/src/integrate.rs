@@ -46,19 +46,27 @@ impl Integrator {
         dt: f32,
     ) -> Option<Vec3> {
         let p = domain.canonicalize(p)?;
+        self.step_from(field, domain, p, field.sample(p)?, dt)
+    }
+
+    /// [`Integrator::step`] from a canonical `p` whose `k1 = field.sample(p)`
+    /// the caller already holds.
+    pub(crate) fn step_from<F: FieldSample>(
+        &self,
+        field: &F,
+        domain: &Domain,
+        p: Vec3,
+        k1: Vec3,
+        dt: f32,
+    ) -> Option<Vec3> {
         match self {
-            Integrator::Euler => {
-                let k1 = field.sample(p)?;
-                domain.canonicalize(p + k1 * dt)
-            }
+            Integrator::Euler => domain.canonicalize(p + k1 * dt),
             Integrator::Rk2 => {
-                let k1 = field.sample(p)?;
                 let mid = domain.canonicalize(p + k1 * (dt * 0.5))?;
                 let k2 = field.sample(mid)?;
                 domain.canonicalize(p + k2 * dt)
             }
             Integrator::Rk4 => {
-                let k1 = field.sample(p)?;
                 let p2 = domain.canonicalize(p + k1 * (dt * 0.5))?;
                 let k2 = field.sample(p2)?;
                 let p3 = domain.canonicalize(p + k2 * (dt * 0.5))?;

@@ -38,7 +38,8 @@ pub mod streamline;
 
 pub use adaptive::{adaptive_streamline, AdaptiveConfig, AdaptiveTrace};
 pub use batch::{
-    trace_batch_parallel, trace_batch_scalar, trace_batch_vector, trace_batch_vector_parallel,
+    trace_batch_parallel, trace_batch_physical, trace_batch_scalar, trace_batch_vector,
+    trace_batch_vector_parallel,
 };
 pub use domain::Domain;
 pub use integrate::Integrator;
@@ -47,7 +48,7 @@ pub use multizone::{trace_multizone, Zone, ZonedPoint};
 pub use pathline::{pathline, PathlineConfig};
 pub use seed::{Handle, Rake, ToolKind};
 pub use streakline::{AdvanceStats, StagnationPolicy, Streakline, StreaklineConfig};
-pub use streamline::{streamline, TraceConfig};
+pub use streamline::{streamline, streamline_physical, TraceConfig};
 
 /// A computed path: polyline vertices in grid coordinates. Convert to
 /// physical space with `CurvilinearGrid::path_to_physical` before

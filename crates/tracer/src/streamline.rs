@@ -10,7 +10,7 @@
 use crate::domain::Domain;
 use crate::integrate::Integrator;
 use crate::Polyline;
-use flowfield::FieldSample;
+use flowfield::{CurvilinearGrid, FieldSample, VectorField};
 use vecmath::Vec3;
 
 /// Parameters of a streamline trace.
@@ -20,8 +20,9 @@ pub struct TraceConfig {
     pub integrator: Integrator,
     /// Step size in grid-time units.
     pub dt: f32,
-    /// Maximum number of points in the path (the paper's benchmark uses
-    /// 200 per streamline).
+    /// Maximum integration steps per direction (the paper's benchmark
+    /// uses 200 per streamline). A path carries the seed too, so up to
+    /// `max_points + 1` points (`2 * max_points + 1` both ways).
     pub max_points: usize,
     /// Terminate when the local speed (grid units / time) drops below
     /// this — the particle has hit a stagnation region and further steps
@@ -112,6 +113,72 @@ pub fn streamline<F: FieldSample>(
     path.push(seed);
     path.extend(forward);
     path
+}
+
+/// The production streamline kernel: bit for bit
+/// `grid.path_to_physical(&streamline(field, domain, seed, cfg))` in one
+/// sweep, or `None` where [`streamline`] is empty. Two trilinear lookups
+/// per RK2 point where that composition takes four: the stagnation
+/// sample at `p` is reused as `k1`, and each point is mapped from its
+/// velocity sample's cell and weights ([`VectorField::sample_pair`]).
+pub fn streamline_physical(
+    field: &VectorField,
+    grid: &CurvilinearGrid,
+    domain: &Domain,
+    seed: Vec3,
+    cfg: &TraceConfig,
+) -> Option<Polyline> {
+    let seed = domain.canonicalize(seed)?;
+    let steps = cfg
+        .max_points
+        .saturating_mul(1 + usize::from(cfg.both_directions));
+    let mut path = Vec::with_capacity(steps.saturating_add(1));
+    if cfg.both_directions {
+        trace_mapped(field, grid, domain, seed, cfg, -cfg.dt, &mut path);
+        path.reverse();
+    }
+    path.extend(field.sample_pair(grid.positions(), seed).map(|(_, x)| x));
+    trace_mapped(field, grid, domain, seed, cfg, cfg.dt, &mut path);
+    Some(path)
+}
+
+/// [`trace_one_direction`], pushing each point's physical position.
+fn trace_mapped(
+    field: &VectorField,
+    grid: &CurvilinearGrid,
+    domain: &Domain,
+    seed: Vec3,
+    cfg: &TraceConfig,
+    dt: f32,
+    out: &mut Polyline,
+) {
+    let sample = |p: Vec3| field.sample_pair(grid.positions(), p);
+    let Some(mut p) = domain.canonicalize(seed) else {
+        return;
+    };
+    let mut here = sample(p);
+    for _ in 0..cfg.max_points {
+        let Some((v, _)) = here.filter(|(v, _)| v.length() >= cfg.min_speed) else {
+            break;
+        };
+        // `step` samples `k1` at `canonicalize(p)`, which is not `p` when
+        // `p` sits exactly on a periodic seam: resample there.
+        let next = match domain.canonicalize(p) {
+            Some(q) if same_bits(q, p) => cfg.integrator.step_from(field, domain, p, v, dt),
+            _ => cfg.integrator.step(field, domain, p, dt),
+        };
+        let Some(next) = next else {
+            break;
+        };
+        p = next;
+        here = sample(p);
+        out.extend(here.map(|(_, x)| x));
+    }
+}
+
+/// Bitwise equality: `-0.0` and `0.0` differ, a NaN equals itself.
+fn same_bits(a: Vec3, b: Vec3) -> bool {
+    (a.x.to_bits(), a.y.to_bits(), a.z.to_bits()) == (b.x.to_bits(), b.y.to_bits(), b.z.to_bits())
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use storage::TimestepStore;
 use tracer::{
-    trace_batch_parallel, AdvanceStats, Domain, Integrator, Polyline, Streakline, StreaklineConfig,
+    trace_batch_physical, AdvanceStats, Domain, Integrator, Polyline, Streakline, StreaklineConfig,
     ToolKind, TraceConfig,
 };
 use vecmath::Vec3;
@@ -392,6 +392,14 @@ impl GeometryCache {
     pub fn clear(&mut self) {
         self.entries.clear();
     }
+
+    /// Every cached path of `env`'s rakes, in rake order.
+    pub fn frame_paths(&self, env: &EnvironmentState) -> Vec<PathMsg> {
+        env.rakes()
+            .filter_map(|(id, _)| self.entries.get(&id))
+            .flat_map(|cached| cached.paths.iter().cloned())
+            .collect()
+    }
 }
 
 /// Timings and cache counters from one [`compute_frame_cached`] call.
@@ -402,8 +410,9 @@ pub struct FrameComputeStats {
     /// Current-timestep field fetch, microseconds.
     pub fetch_us: u64,
     /// Path integration (streamlines, pathlines, streak snapshot), µs.
+    /// Streamlines are mapped to physical space inside this sweep.
     pub integrate_us: u64,
-    /// Grid→physical mapping of computed paths, microseconds.
+    /// Grid→physical mapping of pathlines and streak filaments, µs.
     pub map_us: u64,
     /// Rakes served from the geometry cache.
     pub geom_hits: u32,
@@ -419,13 +428,14 @@ pub struct FrameComputeStats {
 /// filament snapshot.
 type GeomMiss = (RakeId, GeomKey, Vec<Vec3>, ToolKind, Vec<Polyline>);
 
-/// Compute a full [`GeometryFrame`], re-tracing only rakes whose cache
-/// key changed and fanning the misses out across threads.
+/// Bring `cache` up to date with `env`, re-tracing only rakes whose cache
+/// key changed and fanning the misses out across threads. The returned
+/// frame's `paths` are empty: the server splices them from its chunks.
 ///
 /// `timestep` is the integer timestep to visualize (from the time
 /// controller). Streak systems are *read*, not advanced — advancing
 /// happens once per clock tick via [`ToolEngines::advance_streaks`].
-pub fn compute_frame_cached(
+pub fn update_geometry(
     env: &EnvironmentState,
     engines: &mut ToolEngines,
     cache: &mut GeometryCache,
@@ -513,20 +523,17 @@ pub fn compute_frame_cached(
             match tool {
                 ToolKind::Streamline => {
                     let t0 = Instant::now();
-                    let lines = trace_batch_parallel(field.as_ref(), domain, &seeds, &cfg.trace);
+                    let lines =
+                        trace_batch_physical(field.as_ref(), grid, domain, &seeds, &cfg.trace);
                     integrate_us += t0.elapsed().as_micros() as u64;
-                    let t1 = Instant::now();
-                    for line in lines {
-                        if line.is_empty() {
-                            continue;
-                        }
-                        paths.push(PathMsg {
+                    paths = lines
+                        .into_iter()
+                        .map(|points| PathMsg {
                             rake_id: id,
                             kind: PathKind::Streamline,
-                            points: grid.path_to_physical(&line),
-                        });
-                    }
-                    map_us += t1.elapsed().as_micros() as u64;
+                            points,
+                        })
+                        .collect();
                 }
                 ToolKind::ParticlePath => {
                     for seed in seeds {
@@ -584,15 +591,6 @@ pub fn compute_frame_cached(
         cache.entries.insert(id, CacheEntry { key, paths, stamp });
     }
 
-    // Assemble in rake order from the (now fully warm) cache, so hit and
-    // miss frames are byte-identical.
-    let mut paths = Vec::new();
-    for (id, _) in env.rakes() {
-        if let Some(cached) = cache.entries.get(&id) {
-            paths.extend(cached.paths.iter().cloned());
-        }
-    }
-
     let users = env
         .users()
         .map(|(id, pose)| UserMsg { id, head: *pose })
@@ -604,9 +602,25 @@ pub fn compute_frame_cached(
         time: env.time.time(),
         revision: env.revision(),
         rakes,
-        paths,
+        paths: Vec::new(),
         users,
     };
+    Ok((frame, stats))
+}
+
+/// Compute a full [`GeometryFrame`]: [`update_geometry`], then the paths
+/// from the warm cache, so hit and miss frames are byte-identical.
+pub fn compute_frame_cached(
+    env: &EnvironmentState,
+    engines: &mut ToolEngines,
+    cache: &mut GeometryCache,
+    store: &dyn TimestepStore,
+    grid: &CurvilinearGrid,
+    domain: &Domain,
+    cfg: &ComputeConfig,
+) -> Result<(GeometryFrame, FrameComputeStats), FieldError> {
+    let (mut frame, stats) = update_geometry(env, engines, cache, store, grid, domain, cfg)?;
+    frame.paths = cache.frame_paths(env);
     Ok((frame, stats))
 }
 

@@ -528,7 +528,7 @@ impl GeometryFrame {
     /// reuse one scratch `BytesMut` instead of allocating per frame.
     pub fn encode_into(&self, b: &mut BytesMut) {
         b.reserve(64 + self.path_payload_bytes());
-        self.put_head(b);
+        self.put_head(b, self.paths.len());
         for p in &self.paths {
             put_path(b, p);
         }
@@ -536,12 +536,12 @@ impl GeometryFrame {
     }
 
     /// Everything before the first path, path count included.
-    fn put_head(&self, b: &mut BytesMut) {
+    fn put_head(&self, b: &mut BytesMut, n_paths: usize) {
         b.put_u32_le_(self.timestep);
         b.put_f32_le_(self.time);
         b.put_u64_le_(self.revision);
         put_rakes_section(b, &self.rakes);
-        b.put_len_(self.paths.len());
+        b.put_len_(n_paths);
     }
 
     pub fn decode(buf: &[u8]) -> Result<GeometryFrame> {
@@ -650,6 +650,13 @@ pub struct RakeChunkMsg {
 impl RakeChunkMsg {
     /// Encoded bytes before the first path: id, content rev, path count.
     const HEADER_LEN: usize = 16;
+
+    /// The path count in an encoded chunk's header.
+    fn path_count(blob: &[u8]) -> usize {
+        blob.get(12..Self::HEADER_LEN)
+            .and_then(|n| n.try_into().ok())
+            .map_or(0, |n| u32::from_le_bytes(n) as usize)
+    }
 
     pub fn encode_into(&self, b: &mut BytesMut) {
         Self::encode_parts(b, self.rake_id, self.content_rev, &self.paths);
@@ -840,10 +847,15 @@ pub fn splice_delta(
 /// Assemble a full [`GeometryFrame`] reply around the same blobs: past
 /// its header a chunk is the full-frame encoding of its rake's paths, and
 /// `chunk_blobs` (every rake of `frame`, ascending id) follows
-/// `frame.paths` order. The rope is byte-identical to `frame.encode()`.
+/// `frame.paths` order. The rope is byte-identical to `frame.encode()`;
+/// `frame.paths` is never read, so the server's frame carries none.
 pub fn splice_frame(frame: &GeometryFrame, chunk_blobs: Vec<Bytes>) -> Payload {
     let mut b = BytesMut::with_capacity(64 + frame.rakes.len() * 44 + frame.users.len() * 36);
-    frame.put_head(&mut b);
+    let n_paths = chunk_blobs
+        .iter()
+        .map(|c| RakeChunkMsg::path_count(c))
+        .sum();
+    frame.put_head(&mut b, n_paths);
     let split = b.len();
     put_users_section(&mut b, &frame.users);
     let paths = |c: Bytes| c.slice(RakeChunkMsg::HEADER_LEN.min(c.len())..);

@@ -9,7 +9,7 @@
 //! the latest state: the typed frame is computed once per environment
 //! revision and every reply is assembled around the shared chunk cache.
 
-use crate::compute::{compute_frame_cached, ComputeConfig, GeometryCache, ToolEngines};
+use crate::compute::{update_geometry, ComputeConfig, GeometryCache, ToolEngines};
 use crate::env::{EnvironmentState, RakeId, UserId};
 use crate::governor::FrameGovernor;
 use crate::interaction::{process_hand, HandStates, InteractionConfig};
@@ -95,7 +95,8 @@ struct ServerState {
     governor: Option<FrameGovernor>,
     /// The typed frame for the current revision — computed at most once
     /// per revision no matter how many clients or RPC kinds request it,
-    /// so FRAME and FRAME_DELTA describe identical content.
+    /// so FRAME and FRAME_DELTA describe identical content. Its `paths`
+    /// stay empty: replies splice them from `chunk_cache`.
     frame: Option<GeometryFrame>,
     /// Wall-clock of the last fresh compute (governor input).
     compute_elapsed: Duration,
@@ -302,7 +303,7 @@ impl ServerState {
             cfg.pathline_window = gov.scaled_points(cfg.pathline_window);
         }
         let started = Instant::now();
-        let (frame, cstats) = compute_frame_cached(
+        let (frame, cstats) = update_geometry(
             &self.env,
             &mut self.engines,
             &mut self.geom_cache,
@@ -662,7 +663,9 @@ mod tests {
             assert_eq!(seg.as_ptr(), blob[16..].as_ptr());
             assert_eq!(seg.len(), blob.len() - 16);
         }
-        let frame = state.frame.clone().unwrap();
+        let mut frame = state.frame.clone().unwrap();
+        assert!(frame.paths.is_empty(), "the server keeps no path copy");
+        frame.paths = state.geom_cache.frame_paths(&state.env);
         assert_eq!(full.into_bytes(), frame.encode());
         let typed = crate::proto::DeltaFrame::decode(&to_a.clone().into_bytes()).unwrap();
         assert_eq!(typed.encode(), to_a.into_bytes());

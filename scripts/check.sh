@@ -39,6 +39,10 @@ cargo run --release -p dvw-bench --bin bench_storage -- --quick
 # Scalar-vs-batch streakline bitwise equality under a pinned case count
 # (the batch kernel is only as good as this proptest says it is).
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test streak_equiv
+# The one-sweep streamline kernel (k1 reuse, grid->physical map fused
+# into the velocity sample) bit-identical to the verbatim trace-then-map oracle,
+# per point in tracer and as encoded frame bytes in windtunnel.
+PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer -p dvw-windtunnel --test streamline_equiv
 # v2 container codec: write->read must be bitwise identical whatever the
 # bit patterns (NaN payloads, -0.0, denormals), and truncation/corruption
 # must be rejected, never mis-decoded.

@@ -117,12 +117,17 @@ fn section53_benchmark_definition() {
 }
 
 #[test]
-fn section53_vectorized_beats_scalar_on_this_substrate() {
-    // The §5.3 finding, measured live on a small field: the SoA lockstep
-    // kernel outperforms the AoS per-streamline kernel at equal thread
-    // count. (Run in release for meaningful margins; in debug we only
-    // require it not be dramatically slower.)
-    use dvw::flowfield::VectorField;
+fn section53_two_accesses_per_step_beat_three_on_this_substrate() {
+    // §5.3 budgets an RK2 step at "two accesses of the vector field". The
+    // 1992-shape scalar row (`streamline()` parallel across streamlines)
+    // takes three — its stagnation test and `k1` sample the same point —
+    // and leaves the grid→physical map to a second pass; the production
+    // kernel takes two and maps in the same sweep. At equal threads it
+    // must win while doing strictly more (the map). (The SoA lockstep row
+    // also takes two, about two-thirds of its lead over the scalar row;
+    // see EXPERIMENTS.md.) Run in release for meaningful
+    // margins; in debug we only require it not be dramatically slower.
+    use dvw::flowfield::{CurvilinearGrid, VectorField};
     use dvw::tracer::{Domain, TraceConfig};
     use dvw::vecmath::Vec3;
 
@@ -131,7 +136,11 @@ fn section53_vectorized_beats_scalar_on_this_substrate() {
         let c = 23.5;
         Vec3::new(-(j as f32 - c) * 0.05, (i as f32 - c) * 0.05, 0.02)
     });
-    let bench = b::BenchField::new(field, Domain::boxed(dims));
+    let grid = CurvilinearGrid::from_fn(dims, |i, j, k| {
+        Vec3::new(i as f32, j as f32, k as f32 * 0.5)
+    })
+    .unwrap();
+    let bench = b::BenchField::new(field, grid, Domain::boxed(dims));
     let seeds = b::benchmark_seeds(dims, 100);
     let cfg = TraceConfig {
         dt: 0.3,
@@ -146,11 +155,11 @@ fn section53_vectorized_beats_scalar_on_this_substrate() {
             .min()
             .unwrap()
     };
-    let scalar = best(b::Kernel::Scalar);
-    let vector = best(b::Kernel::Vector);
+    let scalar = best(b::Kernel::Parallel);
+    let production = best(b::Kernel::Production);
     assert!(
-        vector.as_secs_f64()
+        production.as_secs_f64()
             < scalar.as_secs_f64() * if cfg!(debug_assertions) { 2.5 } else { 1.1 },
-        "vector {vector:?} vs scalar {scalar:?}"
+        "production {production:?} vs scalar-parallel {scalar:?}"
     );
 }

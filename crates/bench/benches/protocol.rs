@@ -1,32 +1,22 @@
-//! Protocol benchmarks: geometry-frame encode/decode at Table 1's
-//! particle counts, and full dlib round trips over loopback.
+//! Protocol benchmarks: geometry-frame encode/decode of traced
+//! streamline frames at Table 1's particle counts (what the wire carries:
+//! the point codec's cost depends on how smooth the paths are), and full
+//! dlib round trips over loopback.
 
+use bench_support::{paper_spec, tapered_dataset, traced_frame};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use vecmath::Vec3;
-use windtunnel::proto::{GeometryFrame, PathKind, PathMsg};
-
-fn frame_with(particles: usize) -> GeometryFrame {
-    GeometryFrame {
-        timestep: 3,
-        time: 0.15,
-        revision: 42,
-        rakes: vec![],
-        paths: vec![PathMsg {
-            rake_id: 1,
-            kind: PathKind::Streamline,
-            points: (0..particles)
-                .map(|i| Vec3::new(i as f32, 2.0, 3.0))
-                .collect(),
-        }],
-        users: vec![],
-    }
-}
+use storage::constraints::TABLE1_PARTICLES;
+use storage::MemoryStore;
+use windtunnel::proto::GeometryFrame;
 
 fn bench_frame_codec(c: &mut Criterion) {
+    let dataset = tapered_dataset(paper_spec(), 2);
+    let grid = dataset.grid().clone();
+    let store = MemoryStore::from_dataset(dataset);
     let mut g = c.benchmark_group("geometry_frame_codec");
-    for particles in [10_000usize, 50_000, 100_000] {
-        let frame = frame_with(particles);
+    for particles in TABLE1_PARTICLES.map(|p| p as usize) {
+        let frame = traced_frame(&store, &grid, particles);
         let encoded = frame.encode();
         g.throughput(Throughput::Bytes(encoded.len() as u64));
         g.bench_with_input(BenchmarkId::new("encode", particles), &frame, |b, f| {

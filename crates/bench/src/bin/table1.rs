@@ -11,82 +11,23 @@
 //! The frames shipped are *traced* — streamlines through the full-scale
 //! tapered cylinder, 500 points a seed — and go through
 //! `GeometryFrame::encode`, whose point codec (DESIGN.md §6.8) sends
-//! roughly half of 12 B/particle; the table prints both byte counts and
+//! about a third of 12 B/particle; the table prints both byte counts and
 //! the bandwidth each needs, and measures frame rates on what is sent.
 //!
 //! Expected shape: the paper's conclusion was that at 13 MB/s every row
 //! clears 10 fps except 100 000 particles, which sits right at the limit;
-//! encoded, that row needs under half the link. At 1 MB/s only
+//! encoded, that row needs under a third of the link. At 1 MB/s only
 //! ~10 000-particle scenes are interactive.
 
-use bench_support::{paper_spec, tapered_dataset, TablePrinter};
+use bench_support::{paper_spec, tapered_dataset, traced_frame, TablePrinter};
 use dlib::ThrottledWriter;
-use flowfield::CurvilinearGrid;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::time::Instant;
 use storage::constraints::{
     frame_bytes, required_network_mbytes_per_sec, TABLE1_PARTICLES, TARGET_FPS,
 };
-use storage::{MemoryStore, TimestepStore};
-use tracer::{Domain, Rake, ToolKind, TraceConfig};
-use vecmath::Vec3;
-use windtunnel::compute::{compute_frame, ComputeConfig, ToolEngines};
-use windtunnel::env::EnvironmentState;
-use windtunnel::proto::GeometryFrame;
-
-/// Points per traced streamline (seed + 499 steps of `dt` 0.02).
-const POINTS_PER_SEED: usize = 500;
-/// Seeds on one rake; larger scenes add rakes, as a user would.
-const SEEDS_PER_RAKE: usize = 25;
-
-/// Trace a frame of exactly `particles` streamline points: spanwise rakes
-/// spread across the inflow upstream of the cylinder, every seed running
-/// its full length.
-fn traced_frame(store: &MemoryStore, grid: &CurvilinearGrid, particles: usize) -> GeometryFrame {
-    let seeds = particles / POINTS_PER_SEED;
-    let rakes = seeds.div_ceil(SEEDS_PER_RAKE);
-    let per_rake = (seeds / rakes) as u32;
-    let mut env = EnvironmentState::new(store.timestep_count());
-    for slot in 0..rakes {
-        // Clear of the stagnation line y = 0, where a seed stalls.
-        let y = if rakes == 1 {
-            0.7
-        } else {
-            -1.75 + 3.5 * slot as f32 / (rakes - 1) as f32
-        };
-        // Rakes live in grid coordinates, as the server's AddRake puts them.
-        let end = |z| {
-            grid.locate(Vec3::new(-2.6, y, z))
-                .expect("rake endpoint inside the grid")
-        };
-        env.add_rake(Rake::new(
-            end(1.0),
-            end(7.0),
-            per_rake,
-            ToolKind::Streamline,
-        ));
-    }
-    let cfg = ComputeConfig {
-        trace: TraceConfig {
-            dt: 0.02,
-            max_points: POINTS_PER_SEED - 1,
-            ..TraceConfig::default()
-        },
-        ..ComputeConfig::default()
-    };
-    let frame = compute_frame(
-        &env,
-        &mut ToolEngines::new(),
-        store,
-        grid,
-        &Domain::o_grid(store.meta().dims),
-        &cfg,
-    )
-    .expect("tracing the generated dataset");
-    assert_eq!(frame.particle_count(), particles, "a seed left the grid");
-    frame
-}
+use storage::MemoryStore;
 
 /// Ship `frames` copies of the payload over loopback at `rate` B/s;
 /// returns seconds per frame.
@@ -139,6 +80,11 @@ fn main() {
     let store = MemoryStore::from_dataset(dataset);
     for &particles in &TABLE1_PARTICLES {
         let frame = traced_frame(&store, &grid, particles as usize);
+        assert_eq!(
+            frame.particle_count() as u64,
+            particles,
+            "a seed left the grid"
+        );
         assert_eq!(frame.path_payload_bytes() as u64, frame_bytes(particles));
         let payload = frame.encode();
         // Fewer trips for the slow regimes so the bin stays fast.
@@ -169,5 +115,5 @@ fn main() {
     println!("Encoded columns: what GeometryFrame::encode sends for the same traced particles");
     println!("(predictive point codec, lossless; MB = 2^20 B as in the paper's column; fps are of");
     println!("the encoded frames). Shape to verify: at 12 B/particle 100k particles sit at the");
-    println!("13 MB/s limit; encoded they need under half of it (~5.6 x 10^6 B/s).");
+    println!("13 MB/s limit; encoded they need under a third of it (~4.1 x 10^6 B/s).");
 }

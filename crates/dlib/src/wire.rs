@@ -296,65 +296,80 @@ impl<'a> WireReader<'a> {
 
     /// Decode one path written by [`put_point_path`], at most `max_points`
     /// long. Every window read is a checked slice of the message: short,
-    /// over-long and malformed input is a `Protocol` error naming the
-    /// point, never a panic, and the output allocation is bounded by the
-    /// bytes actually present.
+    /// over-long, non-canonical and malformed input is a `Protocol` error
+    /// naming the block, never a panic, and the output allocation is
+    /// bounded by the bytes actually present.
     pub fn point_path<P: From<[f32; 3]>>(&mut self, max_points: usize) -> Result<Vec<P>> {
-        let n = self.count("point", MIN_POINT_BYTES)?;
-        if n > max_points {
+        let (n, have) = (self.u32_le()? as usize, self.buf.len());
+        if n.div_ceil(BLOCK) * 2 > have || n > max_points {
             return Err(DlibError::Protocol(format!(
-                "absurd point count {n} (cap {max_points})"
+                "point count {n} exceeds the {have} bytes left or the budget of {max_points}"
             )));
         }
         let mut points = Vec::with_capacity(n);
-        let (mut p1, mut p2) = ([0u32; 3], [0u32; 3]);
-        for i in 0..n {
-            // One point is at most 13 bytes, read in place; only at the
-            // end of the message is the window a zero-padded copy, and
-            // `used` is checked against what was really there.
-            let mut padded = [0u8; MAX_POINT_BYTES];
-            let (window, have) = match self.buf.first_chunk() {
-                Some(window) => (window, MAX_POINT_BYTES),
-                None => {
-                    padded[..self.buf.len()].copy_from_slice(self.buf);
-                    (&padded, self.buf.len())
+        let (mut last, mut step, mut z) = ([0u32; 3], [0u32; 3], [[0u32; BLOCK]; 3]);
+        for blk in 0..n.div_ceil(BLOCK) {
+            let m = (n - blk * BLOCK).min(BLOCK);
+            let flaw = |what: String| Err(DlibError::Protocol(format!("block {blk}: {what}")));
+            let h = self.take(2)?;
+            let header = u32::from(h[0]) | u32::from(h[1]) << 8;
+            if header >> 15 != 0 {
+                return flaw(format!("unused header bit set ({header:#06x})"));
+            }
+            for (c, run) in z.iter_mut().enumerate() {
+                let code = header >> (5 * c) & 31;
+                let w = code + u32::from(code == 31);
+                let (bits, left) = (m * w as usize, self.buf.len());
+                let len = bits.div_ceil(8);
+                if len > left {
+                    return flaw(format!("truncated, needs {len} bytes, have {left}"));
                 }
-            };
-            let ctrl = u32::from(window[0]);
-            if ctrl >> 6 != 0 {
-                return Err(DlibError::Protocol(format!(
-                    "point {i}: unused control bits set ({ctrl:#04x})"
-                )));
+                // Read in place, or at the message's end from a zero-padded
+                // copy; a full block's constant `m` drops per-value selects.
+                let zz = match self.buf.first_chunk::<WINDOW>() {
+                    Some(window) if m == BLOCK => unpack_run(window, w, BLOCK),
+                    Some(window) => unpack_run(window, w, m),
+                    None => {
+                        let mut padded = [0u8; WINDOW];
+                        padded[..left].copy_from_slice(self.buf);
+                        unpack_run(&padded, w, m)
+                    }
+                };
+                // Masked to `w` bits: narrowest iff a value uses bit w − 1.
+                if zz.iter().fold(0, |a, &v| a | v) < (1u32 << code) >> 1 {
+                    return flaw(format!("component {c} width code {code} is not canonical"));
+                }
+                if !bits.is_multiple_of(8) && self.buf[len - 1] >> (bits % 8) != 0 {
+                    return flaw(format!("component {c} has padding bits set"));
+                }
+                self.buf = &self.buf[len..];
+                *run = zz;
             }
-            let mut used = 1;
-            let mut cur = [0u32; 3];
-            for (c, out) in cur.iter_mut().enumerate() {
-                let len = (ctrl >> (2 * c) & 3) + 1;
-                let mut le = [0u8; 4];
-                le.copy_from_slice(&window[used..used + 4]);
-                let z = u32::from_le_bytes(le) & (u32::MAX >> (32 - 8 * len));
-                let residual = (z >> 1) ^ 0u32.wrapping_sub(z & 1);
-                *out = residual.wrapping_add(predict(p1[c], p2[c]));
-                used += len as usize;
+            // [`predict`] as a running step: a residual adds to the step,
+            // the step to the last point. The first point (predicted from
+            // zero) leaves the step at zero: the second repeats the first.
+            let mut block = [[0u32; 3]; BLOCK];
+            for (k, out) in block.iter_mut().enumerate() {
+                for c in 0..3 {
+                    let r = (z[c][k] >> 1) ^ 0u32.wrapping_sub(z[c][k] & 1);
+                    step[c] = step[c].wrapping_add(r);
+                    last[c] = last[c].wrapping_add(step[c]);
+                }
+                *out = last;
+                step = if blk + k == 0 { [0; 3] } else { step };
             }
-            if used > have {
-                return Err(DlibError::Protocol(format!(
-                    "point {i} of {n}: truncated, needs {used} bytes, have {have}"
-                )));
-            }
-            self.buf = &self.buf[used..];
-            p2 = if i == 0 { cur } else { p1 };
-            p1 = cur;
-            points.push(P::from(cur.map(f32::from_bits)));
+            points.extend(block[..m].iter().map(|p| P::from(p.map(f32::from_bits))));
         }
         Ok(points)
     }
 }
 
-/// Smallest and largest encoding of one point: a control byte plus three
-/// residuals of 1–4 bytes.
-const MIN_POINT_BYTES: usize = 4;
-const MAX_POINT_BYTES: usize = 13;
+/// Points per block: a run of eight `w`-bit residuals is exactly `w`
+/// bytes. The largest block is its 2-byte header and three 32-bit runs;
+/// the longest run's last 8-byte load ends at byte 36 of its window.
+const BLOCK: usize = 8;
+const MAX_BLOCK_BYTES: usize = 2 + 3 * 4 * BLOCK;
+const WINDOW: usize = 40;
 
 /// Order-2 linear prediction on bit patterns: the next value continues
 /// the step between the last two. Wrapping integer arithmetic, so the
@@ -364,42 +379,86 @@ fn predict(p1: u32, p2: u32) -> u32 {
     p1.wrapping_mul(2).wrapping_sub(p2)
 }
 
-/// Encode one path of f32 triples: `[u32 count]`, then per point one
-/// control byte (three 2-bit `length − 1` fields, x lowest; top two bits
-/// zero) and the three zig-zagged residuals in 1–4 little-endian bytes
-/// each. The residual of a component is its bit pattern minus
-/// [`predict`] of the previous two points' (the first point predicts
-/// from zero, the second from the first), so NaN payloads, −0.0 and
-/// denormals survive bit-exactly. Smooth paths cost 5–6 bytes a point,
-/// arbitrary bits at most 13 (DESIGN.md §6.8).
+/// Unpack the first `m` of eight `w`-bit values stored LSB-first at the
+/// front of `window`; the rest read as zero (ORed from registers).
+#[inline]
+fn unpack_run(window: &[u8; WINDOW], w: u32, m: usize) -> [u32; BLOCK] {
+    std::array::from_fn(|k| {
+        let at = k * w as usize;
+        let mut le = [0u8; 8];
+        le.copy_from_slice(&window[at / 8..at / 8 + 8]);
+        let b = (u64::from_le_bytes(le) >> (at % 8) & ((1 << w) - 1)).to_le_bytes();
+        u32::from_le_bytes([b[0], b[1], b[2], b[3]]) * u32::from(k < m)
+    })
+}
+
+/// Pack eight values of at most `w` bits LSB-first into `out[..w]`, four
+/// to a u64 while they fit, else as two 128-bit halves. Stores reach at
+/// most 32 bytes into `out` and leave zeros past the run.
+#[inline]
+fn pack_run(out: &mut [u8], v: &[u32; BLOCK], w: u32) {
+    let pair = |a: u32, b: u32| u64::from(a) | u64::from(b) << w;
+    if w <= 16 {
+        let half = |q: &[u32]| pair(q[0], q[1]) | pair(q[2], q[3]) << (2 * w);
+        let run = u128::from(half(&v[..4])) | u128::from(half(&v[4..])) << (4 * w);
+        return out[..16].copy_from_slice(&run.to_le_bytes());
+    }
+    let half = |q: &[u32]| u128::from(pair(q[0], q[1])) | u128::from(pair(q[2], q[3])) << (2 * w);
+    let (lo, hi, h) = (half(&v[..4]), half(&v[4..]), w / 2);
+    // The high half starts at bit 4w: byte w/2, plus four bits if w is
+    // odd, which it shares with the low half's last bits.
+    let shared = lo.checked_shr(8 * h).unwrap_or(0);
+    out[..16].copy_from_slice(&lo.to_le_bytes());
+    let at = h as usize;
+    out[at..at + 16].copy_from_slice(&(hi << (4 * (w & 1)) | shared).to_le_bytes());
+}
+
+/// Encode one path of f32 triples (DESIGN.md §6.8): `[u32 count]`, then
+/// per block of eight points a `u16` of three 5-bit width codes (x lowest,
+/// top bit zero, 31 meaning 32 bits) and each component's zig-zagged
+/// residuals — bit pattern minus [`predict`]; the first point predicts
+/// from zero, the second from the first — packed LSB-first at that width,
+/// zero-padded to a byte. Lossless on every bit pattern (NaN payloads,
+/// −0.0, denormals): ≈ 4.1–4.6 B/point on smooth paths, at most 12.25.
 pub fn put_point_path<I>(b: &mut BytesMut, points: I)
 where
     I: ExactSizeIterator<Item = [f32; 3]>,
 {
-    const PER_BLOCK: usize = 64; // 832-byte stack scratch
-    b.reserve(4 + points.len() * MAX_POINT_BYTES);
-    b.put_u32_le(len_u32(points.len()));
-    let mut scratch = [0u8; PER_BLOCK * MAX_POINT_BYTES];
-    let mut off = 0;
+    const PER_FLUSH: usize = 8; // blocks staged in a 784-byte stack scratch
+    let n = points.len();
+    b.reserve(4 + n.div_ceil(BLOCK) * MAX_BLOCK_BYTES);
+    b.put_u32_le(len_u32(n));
+    let mut scratch = [0u8; PER_FLUSH * MAX_BLOCK_BYTES];
+    let (mut off, mut z, mut any) = (0, [[0u32; BLOCK]; 3], [0u32; 3]);
     let (mut p1, mut p2) = ([0u32; 3], [0u32; 3]);
     for (i, p) in points.enumerate() {
         let cur = p.map(f32::to_bits);
-        let mut ctrl = 0u32;
-        let mut at = off + 1;
         for c in 0..3 {
-            let residual = cur[c].wrapping_sub(predict(p1[c], p2[c]));
-            let z = (residual << 1) ^ 0u32.wrapping_sub(residual >> 31);
-            let len = 4 - (z | 1).leading_zeros() / 8;
-            // Four bytes land, `len` are kept: the next write overlaps.
-            scratch[at..at + 4].copy_from_slice(&z.to_le_bytes());
-            ctrl |= (len - 1) << (2 * c);
-            at += len as usize;
+            let r = cur[c].wrapping_sub(predict(p1[c], p2[c]));
+            z[c][i % BLOCK] = (r << 1) ^ 0u32.wrapping_sub(r >> 31);
+            any[c] |= z[c][i % BLOCK];
         }
-        scratch[off] = ctrl.to_le_bytes()[0];
-        off = at;
         p2 = if i == 0 { cur } else { p1 };
         p1 = cur;
-        if off > scratch.len() - MAX_POINT_BYTES {
+        let m = i % BLOCK + 1;
+        if m < BLOCK && i + 1 < n {
+            continue;
+        }
+        if m < BLOCK {
+            // A partial last block's unused slots pack as zero bits.
+            z.iter_mut().for_each(|run| run[m..].fill(0));
+        }
+        let (mut header, mut at) = (0u32, off + 2);
+        for (c, run) in z.iter().enumerate() {
+            let code = (32 - any[c].leading_zeros()).min(31);
+            let w = code + u32::from(code == 31);
+            header |= code << (5 * c);
+            pack_run(&mut scratch[at..], run, w);
+            at += (m * w as usize).div_ceil(8);
+        }
+        scratch[off..off + 2].copy_from_slice(&header.to_le_bytes()[..2]);
+        (off, any) = (at, [0; 3]);
+        if off > scratch.len() - MAX_BLOCK_BYTES {
             b.put_slice(&scratch[..off]);
             off = 0;
         }

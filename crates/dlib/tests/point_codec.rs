@@ -1,8 +1,9 @@
 //! Property tests for the predictive point codec (`dlib::wire::
 //! put_point_path` / `WireReader::point_path`, DESIGN.md §6.8): lossless
 //! on every bit pattern, equal to a straight-line reference encoder,
-//! inside its size bounds, and a typed error — never a panic — on
-//! anything malformed.
+//! inside its size bounds, canonical (a decoded byte string is the
+//! encoding of what it decodes to), and a typed error — never a panic —
+//! on anything malformed.
 //!
 //! Case count honors `PROPTEST_CASES` (check.sh runs these at 64, in
 //! release mode: the wrapping arithmetic must hold without debug
@@ -38,14 +39,15 @@ fn protocol_error(res: Result<(Vec<Bits>, usize), DlibError>) -> String {
     }
 }
 
-/// The codec restated without blocks, scratch or overlapping stores:
-/// explicit order 0 / 1 / 2 prediction, signed zig-zag, lengths by range.
+/// The codec restated without scratch, accumulators or overlapping
+/// stores: explicit order 0 / 1 / 2 prediction, signed zig-zag, each
+/// block's widths from an explicit maximum, and every run packed bit by
+/// bit.
 mod reference_points {
     pub fn encode(points: &[super::Bits]) -> Vec<u8> {
-        let mut out = (points.len() as u32).to_le_bytes().to_vec();
+        let mut zigzags = Vec::new();
         for (i, p) in points.iter().enumerate() {
-            let mut ctrl = 0u8;
-            let mut body = Vec::new();
+            let mut z = [0u32; 3];
             for c in 0..3 {
                 let predicted = match i {
                     0 => 0,
@@ -53,18 +55,43 @@ mod reference_points {
                     _ => (points[i - 1][c].wrapping_mul(2)).wrapping_sub(points[i - 2][c]),
                 };
                 let residual = p[c].wrapping_sub(predicted) as i32;
-                let zigzag = ((residual << 1) ^ (residual >> 31)) as u32;
-                let len = match zigzag {
-                    0..=0xff => 1,
-                    0x100..=0xffff => 2,
-                    0x1_0000..=0xff_ffff => 3,
-                    _ => 4,
-                };
-                ctrl |= (len as u8 - 1) << (2 * c);
-                body.extend_from_slice(&zigzag.to_le_bytes()[..len]);
+                z[c] = ((residual << 1) ^ (residual >> 31)) as u32;
             }
-            out.push(ctrl);
-            out.extend(body);
+            zigzags.push(z);
+        }
+        let mut out = (points.len() as u32).to_le_bytes().to_vec();
+        for block in zigzags.chunks(8) {
+            let mut codes = [0u16; 3];
+            let mut widths = [0usize; 3];
+            for c in 0..3 {
+                let max = block.iter().map(|z| z[c]).max().unwrap();
+                let mut bits = 0;
+                while bits < 32 && max >> bits != 0 {
+                    bits += 1;
+                }
+                // Code 31 stands for 32 bits.
+                (codes[c], widths[c]) = if bits >= 31 {
+                    (31, 32)
+                } else {
+                    (bits as u16, bits)
+                };
+            }
+            out.extend_from_slice(&(codes[0] | codes[1] << 5 | codes[2] << 10).to_le_bytes());
+            for c in 0..3 {
+                let mut stream = Vec::new();
+                for z in block {
+                    for bit in 0..widths[c] {
+                        stream.push((z[c] >> bit) & 1 == 1);
+                    }
+                }
+                for byte in stream.chunks(8) {
+                    let mut v = 0u8;
+                    for (k, &set) in byte.iter().enumerate() {
+                        v |= u8::from(set) << k;
+                    }
+                    out.push(v);
+                }
+            }
         }
         out
     }
@@ -101,6 +128,25 @@ fn helix(scale: f32) -> Vec<Bits> {
         .collect()
 }
 
+/// Byte offsets of each block header in an encoded path.
+fn block_headers(bytes: &[u8]) -> Vec<usize> {
+    let n = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+    let mut pos = 4;
+    (0..n.div_ceil(8))
+        .map(|blk| {
+            let at = pos;
+            let header = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]);
+            let m = (n - 8 * blk).min(8);
+            pos += 2;
+            for c in 0..3 {
+                let code = usize::from(header >> (5 * c) & 31);
+                pos += (m * if code == 31 { 32 } else { code }).div_ceil(8);
+            }
+            at
+        })
+        .collect()
+}
+
 proptest! {
     #[test]
     fn prop_round_trip_is_bit_exact(points in hostile_path(0..400)) {
@@ -110,11 +156,12 @@ proptest! {
         prop_assert_eq!(left, 0);
     }
 
-    /// Lengths 0–3 each take a different predictor order.
+    /// Lengths 0–3 each take a different predictor order; 7–9 and 15–17
+    /// sit on either side of a block boundary.
     #[test]
-    fn prop_short_paths_round_trip(points in hostile_path(0..4)) {
+    fn prop_short_paths_round_trip(points in hostile_path(0..18)) {
         let bytes = encode(&points);
-        let (back, left) = decode(&bytes, 3).unwrap();
+        let (back, left) = decode(&bytes, points.len()).unwrap();
         prop_assert_eq!(back, points);
         prop_assert_eq!(left, 0);
     }
@@ -124,22 +171,23 @@ proptest! {
         prop_assert_eq!(encode(&points), reference_points::encode(&points));
     }
 
-    /// Smooth input through the same comparison: short residuals and
-    /// block boundaries (64 points a block) are what it exercises.
+    /// Smooth input through the same comparison: narrow runs, partial
+    /// last blocks and the encoder's flushes are what it exercises.
     #[test]
-    fn prop_encoder_matches_reference_on_smooth_paths(scale in 1e-3f32..1e3) {
-        let points = helix(scale);
-        prop_assert_eq!(encode(&points), reference_points::encode(&points));
+    fn prop_encoder_matches_reference_on_smooth_paths(scale in 1e-3f32..1e3, len in 0usize..501) {
+        let points = &helix(scale)[..len];
+        prop_assert_eq!(encode(points), reference_points::encode(points));
     }
 
     #[test]
     fn prop_size_within_bounds_on_random_bits(points in hostile_path(0..300)) {
         let len = encode(&points).len();
-        prop_assert!(len <= 4 + 13 * points.len());
-        prop_assert!(len >= 4 + 4 * points.len());
+        let blocks = points.len().div_ceil(8);
+        prop_assert!(len <= 4 + 98 * blocks);
+        prop_assert!(len >= 4 + 2 * blocks);
     }
 
-    /// Cut anywhere, the decoder says which point ran out (or that the
+    /// Cut anywhere, the decoder says which block ran out (or that the
     /// count cannot fit) and consumes nothing it can trust.
     #[test]
     fn prop_truncation_at_every_offset_is_a_named_error(points in hostile_path(1..40)) {
@@ -154,29 +202,94 @@ proptest! {
     }
 
     #[test]
-    fn prop_unused_control_bits_rejected(points in hostile_path(1..40), at in 0usize..40, bit in 6u8..8) {
-        let at = at % points.len();
+    fn prop_unused_header_bit_rejected(points in hostile_path(1..40), at in 0usize..5) {
         let mut bytes = encode(&points);
-        // Walk the control bytes to point `at`.
-        let mut pos = 4;
-        for _ in 0..at {
-            let ctrl = bytes[pos];
-            pos += 4 + usize::from(ctrl & 3) + usize::from(ctrl >> 2 & 3) + usize::from(ctrl >> 4 & 3);
-        }
-        bytes[pos] |= 1 << bit;
+        let headers = block_headers(&bytes);
+        let at = at % headers.len();
+        bytes[headers[at] + 1] |= 0x80;
         let m = protocol_error(decode(&bytes, points.len()));
-        prop_assert!(m.contains(&format!("point {at}: unused control bits")), "{m}");
+        prop_assert!(m.contains(&format!("block {at}: unused header bit")), "{m}");
+    }
+
+    /// Flip one to three bits anywhere: the decoder either names the
+    /// damage or returns points whose encoding is exactly the damaged
+    /// bytes — one byte string per path, so byte equality stays value
+    /// equality.
+    #[test]
+    fn prop_bit_flips_are_rejected_or_canonical(
+        points in hostile_path(1..40),
+        flips in proptest::collection::vec(any::<u32>(), 1..4),
+    ) {
+        let mut bytes = encode(&points);
+        for f in flips {
+            let bit = f as usize % (8 * bytes.len());
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        let mut r = WireReader::new(&bytes);
+        match r.point_path::<[f32; 3]>(64) {
+            Ok(back) => {
+                let used = bytes.len() - r.remaining();
+                let bits: Vec<Bits> = back.iter().map(|p| p.map(f32::to_bits)).collect();
+                prop_assert_eq!(encode(&bits), bytes[..used].to_vec());
+            }
+            Err(DlibError::Protocol(_)) => {}
+            Err(e) => prop_assert!(false, "untyped error {e:?}"),
+        }
+    }
+}
+
+/// One path of `n` points, one block, whose x run is `x_run` at width
+/// code `x_code` and whose y and z residuals are zero.
+fn one_block(n: u32, x_code: u16, x_run: &[u8]) -> Vec<u8> {
+    let mut bytes = n.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&x_code.to_le_bytes());
+    bytes.extend_from_slice(x_run);
+    bytes
+}
+
+#[test]
+fn only_the_narrowest_width_code_is_accepted() {
+    // Two points with x residuals 3 and 5 (zig-zag 6, 10): four bits.
+    let canonical = one_block(2, 4, &[0xa6]);
+    assert_eq!(canonical, encode(&[[3, 0, 0], [8, 0, 0]]));
+    assert!(decode(&canonical, 2).is_ok());
+    // The same values at five bits, and at code 31 (32 bits).
+    let wide = one_block(2, 5, &[0x46, 0x01]);
+    let m = protocol_error(decode(&wide, 2));
+    assert!(
+        m.contains("block 0: component 0 width code 5 is not canonical"),
+        "{m}"
+    );
+    let widest = one_block(2, 31, &[6, 0, 0, 0, 10, 0, 0, 0]);
+    let m = protocol_error(decode(&widest, 2));
+    assert!(m.contains("width code 31 is not canonical"), "{m}");
+    // Code 31 is right for a value that uses bit 30 (31 bits cost 32).
+    let bit30 = encode(&[[1 << 30, 0, 0]]);
+    assert_eq!(bit30, one_block(1, 31, &(1u32 << 31).to_le_bytes()));
+    assert_eq!(decode(&bit30, 1).unwrap().0, vec![[1 << 30, 0, 0]]);
+}
+
+#[test]
+fn padding_bits_must_be_zero() {
+    // One point, x residual 3 (zig-zag 6) at three bits: five pad bits.
+    assert_eq!(encode(&[[3, 0, 0]]), one_block(1, 3, &[0x06]));
+    for pad in 3..8 {
+        let m = protocol_error(decode(&one_block(1, 3, &[0x06 | 1 << pad]), 1));
+        assert!(
+            m.contains("block 0: component 0 has padding bits set"),
+            "{m}"
+        );
     }
 }
 
 #[test]
-fn smooth_paths_cost_under_sixty_percent_of_the_slab() {
+fn smooth_paths_cost_under_forty_five_percent_of_the_slab() {
     for scale in [0.05f32, 1.0, 40.0] {
         let points = helix(scale);
         let len = encode(&points).len();
         let slab = SLAB_BYTES_PER_POINT * points.len();
         assert!(
-            len * 10 <= slab * 6,
+            len * 20 <= slab * 9,
             "helix ×{scale}: {len} B is {:.3} of the {slab} B slab",
             len as f64 / slab as f64
         );
@@ -186,19 +299,24 @@ fn smooth_paths_cost_under_sixty_percent_of_the_slab() {
 
 #[test]
 fn counts_are_checked_against_the_bytes_present_before_allocating() {
-    // A count the rest of the message cannot hold: 4 B is the least a
-    // point takes, so ten points need forty bytes.
-    let mut bytes = 10u32.to_le_bytes().to_vec();
-    bytes.extend_from_slice(&[0u8; 39]);
+    // A count the rest of the message cannot hold: 2 B (one header) is
+    // the least a block of eight points takes, so 80 points need 20.
+    let mut bytes = 80u32.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&[0u8; 19]);
     let m = protocol_error(decode(&bytes, 1000));
-    assert!(m.starts_with("point count 10 exceeds"), "{m}");
+    assert!(m.starts_with("point count 80 exceeds"), "{m}");
+    bytes.push(0);
+    assert_eq!(decode(&bytes, 1000).unwrap().0, vec![[0; 3]; 80]);
     // The largest claim there is, with nothing behind it.
     let m = protocol_error(decode(&u32::MAX.to_le_bytes(), usize::MAX));
     assert!(m.starts_with("point count 4294967295 exceeds"), "{m}");
-    // A count that fits the bytes but not the caller's cap.
+    // A count that fits the bytes but not the caller's budget.
     let three = encode(&[[1, 2, 3]; 3]);
     let m = protocol_error(decode(&three, 2));
-    assert!(m.contains("absurd point count 3"), "{m}");
+    assert!(
+        m.starts_with("point count 3 exceeds") && m.ends_with("budget of 2"),
+        "{m}"
+    );
     assert!(decode(&three, 3).is_ok());
 }
 

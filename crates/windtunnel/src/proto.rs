@@ -10,7 +10,7 @@
 //! per point in each array", plus "the information about the virtual
 //! control devices such as rakes … so that the current state of these
 //! devices may be correctly rendered." (Those 12 bytes are the paper's
-//! wire; here a path goes through a lossless predictive codec at 5–6
+//! wire; here a path goes through a lossless predictive codec at ≈ 4.1–4.6
 //! bytes a point — see [`PROTOCOL_VERSION`].)
 //!
 //! All protocol geometry is in **physical** coordinates; grid coordinates
@@ -27,9 +27,10 @@ use vr::Gesture;
 /// Wire-protocol version, checked during the hello handshake: a client
 /// and server that disagree fail fast with a clear error instead of
 /// mis-decoding geometry.
-// wire:non-additive — v2 replaces the 12 B/point path slab with the
-// predictive point codec (DESIGN.md §6.8); a v1 peer cannot read a path.
-pub const PROTOCOL_VERSION: u32 = 2;
+// wire:non-additive — v3 bit-packs the point codec's residuals per 8-point
+// block (v2: 1–4 bytes each; v1: the 12 B/point slab), DESIGN.md §6.8; an
+// older peer cannot read a path.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Procedure ids registered on the windtunnel's dlib server.
 pub const PROC_HELLO: u32 = 0x0057_0001;
@@ -114,9 +115,10 @@ fn get_gesture(r: &mut WireReader) -> Result<Gesture> {
     }
 }
 
-/// Cap on a single path's point count (well above Table 1's largest
-/// frame), on top of the decoder's own bound by the bytes present.
-const MAX_POINTS_PER_PATH: usize = 16_000_000;
+/// Points one decoded frame may hold in all its paths, spent path by path
+/// before allocating (eight points can take two bytes, so the bytes alone
+/// would let a 64 MiB frame ask for 3 GiB). Well above Table 1's frames.
+const MAX_FRAME_POINTS: usize = 16_000_000;
 
 /// Path points go through `dlib::wire`'s predictive point codec (DESIGN.md
 /// §6.8) — lossless on bit patterns, so every byte-identity the delta
@@ -125,8 +127,9 @@ fn put_points(b: &mut BytesMut, pts: &[Vec3]) {
     put_point_path(b, pts.iter().map(|p| [p.x, p.y, p.z]));
 }
 
-fn get_points(r: &mut WireReader) -> Result<Vec<Vec3>> {
-    r.point_path(MAX_POINTS_PER_PATH)
+fn get_points(r: &mut WireReader, budget: &mut usize) -> Result<Vec<Vec3>> {
+    r.point_path(*budget)
+        .inspect(|p: &Vec<Vec3>| *budget -= p.len())
 }
 
 // ---------------------------------------------------------------------
@@ -384,7 +387,7 @@ impl PathKind {
 }
 
 /// One computed path: §5.1's array of 3-D points (12 bytes each in
-/// memory and in the paper; 5–6 on this wire, DESIGN.md §6.8).
+/// memory and in the paper; ≈ 4.1–4.6 on this wire, DESIGN.md §6.8).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathMsg {
     pub rake_id: RakeId,
@@ -476,11 +479,11 @@ fn put_path(b: &mut BytesMut, p: &PathMsg) {
     put_points(b, &p.points);
 }
 
-fn get_path(r: &mut WireReader) -> Result<PathMsg> {
+fn get_path(r: &mut WireReader, budget: &mut usize) -> Result<PathMsg> {
     Ok(PathMsg {
         rake_id: r.u32_le()?,
         kind: PathKind::from_u32(r.u32_le()?)?,
-        points: get_points(r)?,
+        points: get_points(r, budget)?,
     })
 }
 
@@ -512,7 +515,7 @@ impl GeometryFrame {
 
     /// Table 1's accounting of the path payload: 12 B/point, the paper's
     /// raw wire. Not what [`encode`](Self::encode) produces (the point
-    /// codec roughly halves it) — used as a paper figure and as the
+    /// codec sends about a third of it) — used as a paper figure and as the
     /// encoder's reserve hint.
     pub fn path_payload_bytes(&self) -> usize {
         self.particle_count() * 12
@@ -552,8 +555,9 @@ impl GeometryFrame {
         let rakes = get_rakes_section(&mut r)?;
         let n_paths = r.count("path", MIN_PATH_BYTES)?;
         let mut paths = Vec::with_capacity(n_paths);
+        let mut budget = MAX_FRAME_POINTS;
         for _ in 0..n_paths {
-            paths.push(get_path(&mut r)?);
+            paths.push(get_path(&mut r, &mut budget)?);
         }
         let users = get_users_section(&mut r)?;
         if r.remaining() != 0 {
@@ -674,13 +678,13 @@ impl RakeChunkMsg {
         }
     }
 
-    fn decode_from(r: &mut WireReader) -> Result<RakeChunkMsg> {
+    fn decode_from(r: &mut WireReader, budget: &mut usize) -> Result<RakeChunkMsg> {
         let rake_id = r.u32_le()?;
         let content_rev = r.u64_le()?;
         let n_paths = r.count("chunk path", MIN_PATH_BYTES)?;
         let mut paths = Vec::with_capacity(n_paths);
         for _ in 0..n_paths {
-            let p = get_path(r)?;
+            let p = get_path(r, budget)?;
             if p.rake_id != rake_id {
                 return Err(DlibError::Protocol(format!(
                     "chunk for rake {rake_id} carries a path of rake {}",
@@ -768,8 +772,9 @@ impl DeltaFrame {
         let rakes = get_rakes_section(&mut r)?;
         let n_chunks = r.count("chunk", RakeChunkMsg::HEADER_LEN)?;
         let mut chunks = Vec::with_capacity(n_chunks);
+        let mut budget = MAX_FRAME_POINTS;
         for _ in 0..n_chunks {
-            chunks.push(RakeChunkMsg::decode_from(&mut r)?);
+            chunks.push(RakeChunkMsg::decode_from(&mut r, &mut budget)?);
         }
         let n_tombstones = r.count("tombstone", 4)?;
         let mut tombstones = Vec::with_capacity(n_tombstones);
@@ -1161,9 +1166,10 @@ mod tests {
             bounds_max: Vec3::ONE,
             user_id: 1,
         };
-        // A v1 server (12 B/point slabs) must be refused by name, with
-        // both versions in the message, before any geometry is decoded.
-        for theirs in [1u32, 99] {
+        // A v1 server (12 B/point slabs) or a v2 one (per-point control
+        // bytes) must be refused by name, with both versions in the
+        // message, before any geometry is decoded.
+        for theirs in [1u32, 2, 99] {
             let mut bytes = h.encode().to_vec();
             bytes[..4].copy_from_slice(&theirs.to_le_bytes());
             let Err(DlibError::Protocol(m)) = HelloReply::decode(&bytes) else {
@@ -1173,7 +1179,7 @@ mod tests {
             assert!(m.contains(&format!("server speaks v{theirs}")), "{m}");
             assert!(m.contains(&format!("client v{PROTOCOL_VERSION}")), "{m}");
         }
-        assert_eq!(PROTOCOL_VERSION, 2);
+        assert_eq!(PROTOCOL_VERSION, 3);
     }
 
     #[test]
@@ -1216,8 +1222,9 @@ mod tests {
     #[test]
     fn table1_payload_accounting() {
         // Table 1 row 1 counts a 10 000-particle frame as 120 000 bytes;
-        // the encoded frame is smaller (a constant path is the codec's
-        // 4 B/point floor) and the envelope stays small (< 1 %).
+        // the encoded frame is smaller: a constant path is the codec's
+        // floor, one 2-byte header per eight points, and the frame
+        // around it is 40 bytes.
         let frame = GeometryFrame {
             timestep: 0,
             time: 0.0,
@@ -1231,13 +1238,7 @@ mod tests {
             users: vec![],
         };
         assert_eq!(frame.path_payload_bytes(), 120_000);
-        let encoded = frame.encode();
-        assert!(encoded.len() >= 40_000);
-        assert!(
-            encoded.len() < 40_400,
-            "envelope too heavy: {}",
-            encoded.len()
-        );
+        assert_eq!(frame.encode().len(), 2_500 + 40);
     }
 
     #[test]
@@ -1369,9 +1370,71 @@ mod tests {
         // Path: rake id, kind, then a point count with nothing behind it.
         let mut b = BytesMut::new();
         b.put_slice(&[0u8; 8]);
-        b.put_u32_le_(10);
-        b.put_slice(&[0u8; 39]); // ten points need at least 40 bytes
-        named(get_path(&mut WireReader::new(&b)).map(|_| ()), "point");
+        b.put_u32_le_(80);
+        b.put_slice(&[0u8; 19]); // 80 points need at least ten 2-byte headers
+        named(
+            get_path(&mut WireReader::new(&b), &mut MAX_FRAME_POINTS.clone()).map(|_| ()),
+            "point",
+        );
+    }
+
+    /// A zero-width block is two bytes for eight points, so only the
+    /// frame's point budget stops a small frame from decoding to
+    /// gigabytes: paths spend it as they decode, and the one that would
+    /// overdraw it is refused by name before its points are allocated.
+    #[test]
+    fn point_budget_spans_the_whole_frame() {
+        let path = |b: &mut BytesMut, rake: u32, n: usize| {
+            b.put_u32_le_(rake);
+            b.put_u32_le_(0);
+            b.put_len_(n);
+            b.put_slice(&vec![0u8; 2 * n.div_ceil(8)]);
+        };
+        let (small, many) = (1_000, 100);
+        let last = MAX_FRAME_POINTS - small * many + 1;
+        let over = |m: &str| m.starts_with(&format!("point count {last} exceeds"));
+
+        let mut b = BytesMut::new();
+        b.put_slice(&[0u8; 16]); // timestep, time, revision
+        b.put_u32_le_(0); // rakes
+        b.put_len_(many + 1);
+        for _ in 0..many {
+            path(&mut b, 1, small);
+        }
+        path(&mut b, 1, last);
+        b.put_u32_le_(0); // users
+        let Err(DlibError::Protocol(m)) = GeometryFrame::decode(&b) else {
+            panic!("over-budget frame accepted");
+        };
+        assert!(over(&m), "{m}");
+
+        let mut b = BytesMut::new();
+        b.put_slice(&[0u8; 28]); // flags, timestep, time, revision, baseline
+        b.put_u32_le_(0); // rakes
+        b.put_u32_le_(2); // chunks
+        for (rake, paths) in [(1, many), (2, 1)] {
+            b.put_u32_le_(rake);
+            b.put_u64_le_(1);
+            b.put_len_(paths);
+            for _ in 0..paths {
+                path(&mut b, rake, if rake == 1 { small } else { last });
+            }
+        }
+        b.put_slice(&[0u8; 8]); // tombstones, users
+        let Err(DlibError::Protocol(m)) = DeltaFrame::decode(&b) else {
+            panic!("over-budget delta accepted");
+        };
+        assert!(over(&m), "{m}");
+
+        // A path that fits spends exactly its points; the next is refused.
+        let mut budget = 10;
+        let mut b = BytesMut::new();
+        path(&mut b, 1, 10);
+        path(&mut b, 1, 1);
+        let mut r = WireReader::new(&b);
+        assert_eq!(get_path(&mut r, &mut budget).unwrap().points.len(), 10);
+        assert_eq!(budget, 0);
+        assert!(get_path(&mut r, &mut budget).is_err());
     }
 
     #[test]

@@ -22,7 +22,8 @@ echo "dvw-lint: full workspace in ${lint_ms} ms (findings archived to bench_out/
 test "$lint_ms" -lt 5000
 cargo clippy --workspace --all-targets -- -D warnings
 # Chaos pass: seeded fault schedules against live servers. The proptest
-# shim seeds from the test name, so these replay identically every run;
+# shim seeds from the test name (PROPTEST_SEED unset), so these replay
+# identically every run;
 # PROPTEST_CASES pins the round count and RUST_BACKTRACE locates any
 # failure inside the storm.
 PROPTEST_CASES=32 RUST_BACKTRACE=1 cargo test -q -p dvw-dlib --test chaos
@@ -48,9 +49,16 @@ PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer -p dvw-
 # must be rejected, never mis-decoded.
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --test codec_roundtrip
 # Wire point codec: bit-exact round trip on arbitrary bit patterns, equal
-# to its straight-line reference encoder, inside its size bounds, and a
-# named error on every truncation or malformed byte.
+# to its straight-line reference encoder, inside its size bounds, canonical,
+# and a named error on every truncation or malformed byte; then bit flips in
+# traced frames (full, keyframe, delta) rejected or re-encoded exactly. Once
+# at the default seed, once at a fresh one (echoed, so a failure replays).
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
+PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
+seed=$(date +%s%N)
+echo "wire codec: fresh PROPTEST_SEED=$seed"
+PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
+PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 # Renderer: the concurrent two-eye anaglyph (and the client's display path
 # over borrowed paths) bit-identical to the sequential oracle, every
 # colour byte and Z bit; then the committed golden PPMs (six from

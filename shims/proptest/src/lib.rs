@@ -5,7 +5,9 @@
 //! range and tuple strategies, [`any`], [`Just`], `collection::vec`, the
 //! `proptest!` / `prop_assert!` / `prop_assert_eq!` / `prop_assume!`
 //! macros, and a deterministic case runner (default 64 cases, override
-//! with `PROPTEST_CASES`). No shrinking: a failing case reports its seed
+//! with `PROPTEST_CASES`). Cases are seeded from the test name, mixed
+//! with `PROPTEST_SEED` when it is set, so a run with a fresh seed draws
+//! fresh inputs. No shrinking: a failing case reports its seed and index
 //! but is not minimized.
 
 use rand::rngs::StdRng;
@@ -237,15 +239,25 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// The RNG seed of a property: the FNV hash of its name, mixed with
+/// `PROPTEST_SEED` when that is set (unset, the cases are the same on
+/// every run).
+fn seed_for(name: &str, env_seed: Option<&str>) -> u64 {
+    let h = fnv1a(name);
+    env_seed.map_or(h, |s| h ^ fnv1a(s).rotate_left(17))
+}
+
 /// Drives one property: generates cases until `cases` pass, skipping
-/// rejected ones, panicking on the first failure. Seeded from the test
-/// name so every run of a given test is deterministic.
+/// rejected ones, panicking on the first failure with the seed and the
+/// case index. Deterministic for a given name and `PROPTEST_SEED`.
 pub fn run_cases<F>(name: &str, mut case: F)
 where
     F: FnMut(&mut StdRng) -> Result<(), TestCaseError>,
 {
     let cases = case_count();
-    let mut rng = StdRng::seed_from_u64(fnv1a(name));
+    let env_seed = std::env::var("PROPTEST_SEED").ok();
+    let seed = seed_for(name, env_seed.as_deref());
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut passed = 0u64;
     let mut rejected = 0u64;
     while passed < cases {
@@ -258,9 +270,12 @@ where
                     "proptest '{name}': too many rejected cases ({rejected})"
                 );
             }
-            Err(TestCaseError::Fail(msg)) => {
-                panic!("proptest '{name}' failed after {passed} passing cases: {msg}")
-            }
+            Err(TestCaseError::Fail(msg)) => panic!(
+                "proptest '{name}' failed after {passed} passing cases \
+                 (case {}, seed {seed:#018x}, PROPTEST_SEED={}): {msg}",
+                passed + rejected,
+                env_seed.as_deref().unwrap_or("unset"),
+            ),
         }
     }
 }
@@ -390,7 +405,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "failed after")]
+    fn env_seed_varies_the_cases_and_its_absence_does_not() {
+        let name = "some_property";
+        assert_eq!(crate::seed_for(name, None), crate::fnv1a(name));
+        let (a, b) = (
+            crate::seed_for(name, Some("1")),
+            crate::seed_for(name, Some("2")),
+        );
+        assert!(a != b && a != crate::fnv1a(name) && b != crate::fnv1a(name));
+    }
+
+    #[test]
+    #[should_panic(expected = "failed after 0 passing cases (case 0, seed 0x")]
     fn failing_property_panics() {
         crate::run_cases("always_fails", |_rng| {
             Err(crate::TestCaseError::Fail("nope".into()))

@@ -43,6 +43,30 @@ fn table1_all_rows() {
 }
 
 #[test]
+fn table1_100k_row_encoded_fits_a_third_of_the_vme_link() {
+    // Table 1's last row — 100 000 particles, 1.2 MB a frame at 12 B a
+    // point — is what §5.1 found sitting at the 13 MB/s VME limit. Traced
+    // streamlines through the point codec (DESIGN.md §6.8) take at most
+    // 4.4 B a point, so the 100 200 points of the `playback_wire` scene
+    // at 10 frames/s need under a third of that link. (A reduced grid of
+    // the same topology keeps this quick in debug builds.)
+    use bench_support::{small_spec, tapered_dataset, traced_frame};
+    use dvw::storage::MemoryStore;
+
+    let dataset = tapered_dataset(small_spec(), 2);
+    let grid = dataset.grid().clone();
+    let store = MemoryStore::from_dataset(dataset);
+    let frame = traced_frame(&store, &grid, 100_000);
+    let points = frame.particle_count();
+    assert_eq!(points, 100_000, "a seed left the grid");
+    let per_point = frame.encode().len() as f64 / points as f64;
+    assert!(per_point <= 4.4, "{per_point:.3} B/point");
+    let vme = 13.0 * 1024.0 * 1024.0;
+    let needed = 100_200.0 * per_point * c::TARGET_FPS;
+    assert!(needed < vme / 3.0, "{needed:.0} B/s of {vme:.0}");
+}
+
+#[test]
 fn section51_stereo_projection_argument() {
     // §5.1: sending 3-D points is 12 B/pt; stereo screen coordinates
     // would be two projections × 8 B = 16 B/pt. 12 < 16 ⇒ world-space

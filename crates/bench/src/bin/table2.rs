@@ -9,13 +9,16 @@
 //!    (30 MB/s + 2 ms seek) — the paper's §5.1 observation that this
 //!    dataset streams comfortably inside the 1/8 s budget;
 //! 2. the same stream with and without the figure-8 prefetcher, showing
-//!    that double-buffering hides the disk behind a 40 ms compute.
+//!    that double-buffering hides the disk behind a 40 ms compute;
+//! 3. the chunked container's encoded timesteps (DESIGN.md §6.5): bytes
+//!    on disk for a full 131 072-point timestep and the Convex rate they
+//!    buy, then the reduced grid streamed raw and encoded.
 //!
 //! Expected shape: the tapered cylinder clears 10 fps on the Convex
 //! model; the ≥3 M-point rows do not (the paper: "we are still a long way
 //! from interactively visualizing very large unsteady data sets").
 
-use bench_support::{small_spec, tapered_dataset, TablePrinter};
+use bench_support::{paper_spec, small_spec, tapered_dataset, TablePrinter};
 use flowfield::Dims;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -115,13 +118,32 @@ fn main() {
     ]);
 
     // ------------------------------------------------------------------
-    // Measured: the v2 compressed container over the same scaled disk
-    // model. The disk charges actual on-disk bytes, so the lossless
-    // codec's ratio converts directly into effective bandwidth — the
-    // lever Table 2 says the paper lacked. bench_storage has the full
-    // 131k-point version of this measurement.
-    println!("\nMeasured compressed streaming (same grid and scaled disk model):\n");
+    // Encoded: the chunk codec's lossless 3-D Lorenzo residuals. The disk
+    // charges actual on-disk bytes, so the ratio converts directly into
+    // effective bandwidth — the lever Table 2 says the paper lacked.
+    println!("\nEncoded timesteps (chunk codec, lossless, bitwise-identical):\n");
     let v2_dir = tempfile::tempdir().unwrap();
+    let full = tapered_dataset(paper_spec(), 1);
+    let full_path = v2_dir.path().join("full.dvwq");
+    flowfield::format::write_velocity_v2(&full_path, 0, 0.0, &full.timesteps()[0]).unwrap();
+    let full_stored = std::fs::metadata(&full_path).unwrap().len();
+    let full_raw = timestep_bytes(Dims::TAPERED_CYLINDER.point_count() as u64);
+    let mut e = TablePrinter::new(&[
+        "131072-pt timestep",
+        "bytes on disk",
+        "ratio",
+        "fps @Convex 30MB/s",
+    ]);
+    for (name, bytes) in [("raw", full_raw), ("encoded", full_stored)] {
+        e.row(&[
+            name.to_string(),
+            format!("{bytes}"),
+            format!("{:.2}x", full_raw as f64 / bytes as f64),
+            format!("{:.1}", convex.timesteps_per_sec(bytes)),
+        ]);
+    }
+
+    println!("\nMeasured encoded streaming (reduced grid, same scaled disk model):\n");
     flowfield::format::write_dataset_v2(v2_dir.path(), &ds).unwrap();
     let v2_disk = DiskStore::open(v2_dir.path()).unwrap();
     let raw_total: u64 = (0..ds.timestep_count()).map(|t| sim.payload_bytes(t)).sum();
@@ -153,12 +175,12 @@ fn main() {
         format!("{raw_tps:.1}"),
     ]);
     c.row(&[
-        "v2 compressed".to_string(),
+        "chunked, encoded".to_string(),
         format!("{v2_total}"),
         format!("{v2_tps:.1}"),
     ]);
     println!(
-        "\ncompression ratio {:.2}x -> {:.2}x effective throughput (lossless, bitwise-identical)",
+        "\nreduced-grid ratio {:.2}x -> {:.2}x effective throughput",
         raw_total as f64 / v2_total as f64,
         v2_tps / raw_tps
     );

@@ -7,6 +7,9 @@
 use crate::{DlibError, Result};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::io::{IoSlice, Read, Write};
+use vecmath::bitpack::{
+    code_width, is_narrowest, pack_run, unpack_run, unzigzag, width_code, zigzag, BLOCK, WINDOW,
+};
 
 /// Maximum frame payload: comfortably above the largest geometry frame
 /// the windtunnel ships (Table 1's 100 000 particles are 1.2 MB).
@@ -318,7 +321,7 @@ impl<'a> WireReader<'a> {
             }
             for (c, run) in z.iter_mut().enumerate() {
                 let code = header >> (5 * c) & 31;
-                let w = code + u32::from(code == 31);
+                let w = code_width(code);
                 let (bits, left) = (m * w as usize, self.buf.len());
                 let len = bits.div_ceil(8);
                 if len > left {
@@ -336,7 +339,7 @@ impl<'a> WireReader<'a> {
                     }
                 };
                 // Masked to `w` bits: narrowest iff a value uses bit w − 1.
-                if zz.iter().fold(0, |a, &v| a | v) < (1u32 << code) >> 1 {
+                if !is_narrowest(code, zz.iter().fold(0, |a, &v| a | v)) {
                     return flaw(format!("component {c} width code {code} is not canonical"));
                 }
                 if !bits.is_multiple_of(8) && self.buf[len - 1] >> (bits % 8) != 0 {
@@ -351,8 +354,7 @@ impl<'a> WireReader<'a> {
             let mut block = [[0u32; 3]; BLOCK];
             for (k, out) in block.iter_mut().enumerate() {
                 for c in 0..3 {
-                    let r = (z[c][k] >> 1) ^ 0u32.wrapping_sub(z[c][k] & 1);
-                    step[c] = step[c].wrapping_add(r);
+                    step[c] = step[c].wrapping_add(unzigzag(z[c][k]));
                     last[c] = last[c].wrapping_add(step[c]);
                 }
                 *out = last;
@@ -364,12 +366,8 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Points per block: a run of eight `w`-bit residuals is exactly `w`
-/// bytes. The largest block is its 2-byte header and three 32-bit runs;
-/// the longest run's last 8-byte load ends at byte 36 of its window.
-const BLOCK: usize = 8;
+/// The largest block is its 2-byte header and three 32-bit runs.
 const MAX_BLOCK_BYTES: usize = 2 + 3 * 4 * BLOCK;
-const WINDOW: usize = 40;
 
 /// Order-2 linear prediction on bit patterns: the next value continues
 /// the step between the last two. Wrapping integer arithmetic, so the
@@ -377,40 +375,6 @@ const WINDOW: usize = 40;
 #[inline]
 fn predict(p1: u32, p2: u32) -> u32 {
     p1.wrapping_mul(2).wrapping_sub(p2)
-}
-
-/// Unpack the first `m` of eight `w`-bit values stored LSB-first at the
-/// front of `window`; the rest read as zero (ORed from registers).
-#[inline]
-fn unpack_run(window: &[u8; WINDOW], w: u32, m: usize) -> [u32; BLOCK] {
-    std::array::from_fn(|k| {
-        let at = k * w as usize;
-        let mut le = [0u8; 8];
-        le.copy_from_slice(&window[at / 8..at / 8 + 8]);
-        let b = (u64::from_le_bytes(le) >> (at % 8) & ((1 << w) - 1)).to_le_bytes();
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]]) * u32::from(k < m)
-    })
-}
-
-/// Pack eight values of at most `w` bits LSB-first into `out[..w]`, four
-/// to a u64 while they fit, else as two 128-bit halves. Stores reach at
-/// most 32 bytes into `out` and leave zeros past the run.
-#[inline]
-fn pack_run(out: &mut [u8], v: &[u32; BLOCK], w: u32) {
-    let pair = |a: u32, b: u32| u64::from(a) | u64::from(b) << w;
-    if w <= 16 {
-        let half = |q: &[u32]| pair(q[0], q[1]) | pair(q[2], q[3]) << (2 * w);
-        let run = u128::from(half(&v[..4])) | u128::from(half(&v[4..])) << (4 * w);
-        return out[..16].copy_from_slice(&run.to_le_bytes());
-    }
-    let half = |q: &[u32]| u128::from(pair(q[0], q[1])) | u128::from(pair(q[2], q[3])) << (2 * w);
-    let (lo, hi, h) = (half(&v[..4]), half(&v[4..]), w / 2);
-    // The high half starts at bit 4w: byte w/2, plus four bits if w is
-    // odd, which it shares with the low half's last bits.
-    let shared = lo.checked_shr(8 * h).unwrap_or(0);
-    out[..16].copy_from_slice(&lo.to_le_bytes());
-    let at = h as usize;
-    out[at..at + 16].copy_from_slice(&(hi << (4 * (w & 1)) | shared).to_le_bytes());
 }
 
 /// Encode one path of f32 triples (DESIGN.md §6.8): `[u32 count]`, then
@@ -434,8 +398,7 @@ where
     for (i, p) in points.enumerate() {
         let cur = p.map(f32::to_bits);
         for c in 0..3 {
-            let r = cur[c].wrapping_sub(predict(p1[c], p2[c]));
-            z[c][i % BLOCK] = (r << 1) ^ 0u32.wrapping_sub(r >> 31);
+            z[c][i % BLOCK] = zigzag(cur[c].wrapping_sub(predict(p1[c], p2[c])));
             any[c] |= z[c][i % BLOCK];
         }
         p2 = if i == 0 { cur } else { p1 };
@@ -450,8 +413,7 @@ where
         }
         let (mut header, mut at) = (0u32, off + 2);
         for (c, run) in z.iter().enumerate() {
-            let code = (32 - any[c].leading_zeros()).min(31);
-            let w = code + u32::from(code == 31);
+            let (code, w) = width_code(any[c]);
             header |= code << (5 * c);
             pack_run(&mut scratch[at..], run, w);
             at += (m * w as usize).div_ceil(8);

@@ -1,44 +1,45 @@
-//! Lossless f32 chunk codec for the v2 dataset container.
+//! Lossless f32 chunk codec for the chunked dataset container
+//! (DESIGN.md §6.5).
 //!
-//! The pipeline per chunk of velocity-component values is:
+//! A chunk is a run of one velocity component's values in the grid's
+//! flat order (i fastest). Each value's bit pattern is predicted, as a
+//! wrapping `u32`, by the 3-D Lorenzo predictor (Ibarria, Lindstrom,
+//! Rossignac & Szymczak, 2003) — the corner sum of its seven lower
+//! neighbours:
 //!
-//! 1. **XOR-delta** — each value's bit pattern is XORed with the previous
-//!    grid point's (the first value deltas against zero). Neighbouring
-//!    velocities in a smooth CFD field agree in sign, exponent and the
-//!    leading mantissa bits, so the delta zeroes the high bytes.
-//! 2. **Byte transpose** — the four delta bytes are split into four
-//!    planes (all byte-0s, then byte-1s, …). The near-zero high-byte
-//!    planes become long runs the entropy stage can collapse.
-//! 3. **LZ** — a hand-rolled LZ4-flavoured byte-oriented compressor
-//!    (greedy hash-chain matcher, u16 offsets, nibble-packed token with
-//!    255-run length extensions). Runs double as RLE: a zero plane turns
-//!    into one literal plus an offset-1 match covering the rest.
+//! ```text
+//! v(i−1) + v(j−1) + v(k−1) − v(i−1,j−1) − v(i−1,k−1) − v(j−1,k−1) + v(i−1,j−1,k−1)
+//! ```
 //!
-//! Decode inverts the three stages exactly, so the f32 roundtrip is
-//! bitwise-identical — NaN payloads and `-0.0` included. Incompressible
-//! chunks (the low mantissa bytes of already-turbulent data are close to
-//! random) fall back to a stored-raw method so a chunk never expands
-//! beyond its payload plus the fixed chunk header.
+//! A neighbour off the grid, or before the chunk's first value, reads as
+//! zero, so every chunk decodes on its own. Residuals are zig-zagged and
+//! packed eight to a block (`vecmath::bitpack`): a 1-byte header holding
+//! the width code in bits 0–4 (31 standing for 32 bits; bits 5–7 zero),
+//! then the eight residuals LSB-first at that width — exactly `w` bytes,
+//! or `⌈m·w/8⌉` zero-padded bytes for a last block of `m < 8`.
 //!
-//! Everything here is panic-free on arbitrary input: the decoder treats
-//! the compressed stream as untrusted and reports malformed data as
-//! [`FieldError::Corrupt`] — the typed class the resilient storage layer
-//! keys its re-read/salvage policy on.
+//! Wrapping arithmetic makes the round trip exact on every bit pattern —
+//! NaN payloads, `-0.0` and denormals included. The worst case is
+//! 4.125 B a value, so a chunk that does not shrink is stored raw and no
+//! chunk exceeds its raw size. The decoder is canonical: it accepts a
+//! payload only if it is the encoding of what it decodes to, and reports
+//! anything else as [`FieldError::Corrupt`] naming the block — the class
+//! the resilient storage layer keys its re-read/salvage policy on.
 
 use crate::{FieldError, Result};
+use vecmath::bitpack::{
+    code_width, is_narrowest, pack_run, unpack_run, unzigzag, width_code, zigzag, BLOCK, WINDOW,
+};
 
-/// Maximum values per chunk (64 KiB of raw f32 payload). Keeps every LZ
-/// match offset within `u16` and bounds per-chunk decode scratch.
+/// Maximum values per chunk (64 KiB of raw f32 payload): four k-planes of
+/// the 64×64×32 tapered cylinder.
 pub const MAX_CHUNK_VALUES: usize = 16 * 1024;
 
 /// Chunk stored as raw little-endian f32s (incompressible fallback).
 pub const METHOD_RAW: u32 = 0;
-/// Chunk stored as XOR-delta + byte-transpose + LZ.
-pub const METHOD_DELTA_LZ: u32 = 1;
-
-const MIN_MATCH: usize = 4;
-const MAX_OFFSET: usize = u16::MAX as usize;
-const HASH_BITS: u32 = 15;
+/// Chunk stored as Lorenzo residuals packed per 8-value block. (Tag 1,
+/// the retired LZ pipeline, is not reused.)
+pub const METHOD_LORENZO: u32 = 2;
 
 /// FNV-1a 32-bit checksum of a byte slice (over the *compressed* bytes,
 /// so corruption is caught before the decoder runs).
@@ -52,222 +53,108 @@ pub fn checksum(bytes: &[u8]) -> u32 {
     h
 }
 
-fn truncated() -> FieldError {
-    FieldError::Corrupt("compressed chunk truncated".into())
-}
-
 fn corrupt(what: &str) -> FieldError {
     FieldError::Corrupt(format!("compressed chunk corrupt: {what}"))
 }
 
-/// Push a value the caller guarantees fits in a byte.
-fn push_u8(out: &mut Vec<u8>, v: usize) {
-    // Caller invariant: v <= 255, so the fallback never fires.
-    out.push(u8::try_from(v).unwrap_or(u8::MAX));
+/// Where a chunk sits in its component plane: the grid's `ni` and `nj`,
+/// and the flat index of the chunk's first value.
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkShape {
+    pub ni: usize,
+    pub nj: usize,
+    pub start: usize,
 }
 
-/// 255-run length extension (LZ4 style): emit `extra` as a run of 255s
-/// plus a terminating byte < 255.
-fn put_varlen(out: &mut Vec<u8>, mut extra: usize) {
-    while extra >= 255 {
-        out.push(255);
-        extra -= 255;
+impl ChunkShape {
+    /// The row segments of an `n`-value chunk as `(at, len, backs)`: each
+    /// runs to the end of its grid row or of the chunk, and `backs` says how
+    /// far behind its neighbour rows (j−1), (k−1) and (j−1, k−1) lie —
+    /// `None` for a row off the grid.
+    fn rows(self, n: usize) -> impl Iterator<Item = (usize, usize, [Option<usize>; 3])> {
+        let (ni, nj, p, mut at) = (self.ni.max(1), self.nj.max(1), self.start, 0);
+        let (mut i, mut j, mut k) = (p % ni, p / ni % nj, p / (ni * nj));
+        std::iter::from_fn(move || {
+            let len = (ni - i).min(n.checked_sub(at).filter(|&l| l > 0)?);
+            let on = |on_grid: bool, back: usize| on_grid.then_some(back);
+            let backs = [
+                on(j > 0, ni),
+                on(k > 0, ni * nj),
+                on(j > 0 && k > 0, ni + ni * nj),
+            ];
+            at += len;
+            (i, j) = (0, (j + 1) % nj);
+            k += usize::from(j == 0);
+            Some((at - len, len, backs))
+        })
     }
-    push_u8(out, extra);
 }
 
-fn read_varlen(src: &[u8], p: &mut usize) -> Result<usize> {
-    let mut total = 0usize;
-    loop {
-        let b = *src.get(*p).ok_or_else(truncated)?;
-        *p += 1;
-        total += usize::from(b);
-        if b != 255 {
-            return Ok(total);
+/// Add to the segment `cur`, at chunk offset `at`, its corner terms
+/// `up + back − up_back` read from `src` — or subtract them, if `negate`.
+/// A neighbour before the chunk's first value reads as zero.
+fn corners(src: &[f32], cur: &mut [f32], at: usize, backs: [Option<usize>; 3], negate: bool) {
+    for (back, minus) in backs.into_iter().zip([false, false, true]) {
+        let Some(back) = back else { continue };
+        let skip = back.saturating_sub(at);
+        if skip >= cur.len() {
+            continue;
         }
-        if total > (1 << 32) {
-            return Err(corrupt("length extension overflows any valid chunk"));
-        }
-    }
-}
-
-fn hash4(b: [u8; 4]) -> usize {
-    // Knuth multiplicative hash over the 4-byte window.
-    (u32::from_le_bytes(b).wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
-}
-
-/// One LZ sequence: literal run, then an optional back-reference.
-fn emit_sequence(out: &mut Vec<u8>, literals: &[u8], back: Option<(usize, usize)>) {
-    let lit = literals.len();
-    let mnib = match back {
-        Some((_, len)) => (len - MIN_MATCH).min(15),
-        None => 0,
-    };
-    let lnib = lit.min(15);
-    push_u8(out, (lnib << 4) | mnib);
-    if lnib == 15 {
-        put_varlen(out, lit - 15);
-    }
-    out.extend_from_slice(literals);
-    if let Some((offset, len)) = back {
-        // Caller invariant: 1 <= offset <= MAX_OFFSET.
-        let off = u16::try_from(offset).unwrap_or(u16::MAX);
-        out.extend_from_slice(&off.to_le_bytes());
-        if mnib == 15 {
-            put_varlen(out, len - MIN_MATCH - 15);
+        // Two's-complement negation as `(u ^ m) − m`: branch-free, SIMD-able.
+        let m = 0u32.wrapping_sub(u32::from(minus != negate));
+        for (v, u) in cur[skip..].iter_mut().zip(&src[at + skip - back..]) {
+            let u = (u.to_bits() ^ m).wrapping_sub(m);
+            *v = f32::from_bits(v.to_bits().wrapping_add(u));
         }
     }
 }
 
-/// Greedy LZ compressor. Appends the compressed stream to `out`.
-pub fn lz_compress(src: &[u8], out: &mut Vec<u8>) {
-    let mut table = vec![u32::MAX; 1 << HASH_BITS];
-    let mut anchor = 0usize;
-    let mut i = 0usize;
-    while i + MIN_MATCH <= src.len() {
-        let window = [src[i], src[i + 1], src[i + 2], src[i + 3]];
-        let h = hash4(window);
-        let cand = table[h];
-        // lint:allow(panic-path): chunk inputs are <= 256 KiB, so i fits in u32
-        table[h] = i as u32;
-        let cand = cand as usize;
-        if cand != u32::MAX as usize
-            && i - cand <= MAX_OFFSET
-            && src[cand..cand + MIN_MATCH] == src[i..i + MIN_MATCH]
-        {
-            let mut len = MIN_MATCH;
-            while i + len < src.len() && src[cand + len] == src[i + len] {
-                len += 1;
-            }
-            emit_sequence(out, &src[anchor..i], Some((i - cand, len)));
-            i += len;
-            anchor = i;
-        } else {
-            i += 1;
+/// Compress one chunk of component values at `shape`. Appends the payload
+/// to `out` (cleared first) and returns the method tag: [`METHOD_LORENZO`],
+/// or [`METHOD_RAW`] when packing does not shrink the chunk.
+///
+/// Per row segment the Lorenzo residual is `r = Δᵢ(v − d)`, with
+/// `d = up + back − up_back` and the difference restarting at the
+/// segment's first value: the seven-term sum, regrouped.
+pub fn compress_chunk(values: &[f32], shape: ChunkShape, out: &mut Vec<u8>) -> u32 {
+    let mut res = values.to_vec();
+    for (at, len, backs) in shape.rows(values.len()) {
+        let cur = &mut res[at..at + len];
+        corners(values, cur, at, backs, true);
+        let mut prev = 0u32;
+        for t in cur.iter_mut() {
+            let bits = t.to_bits();
+            (*t, prev) = (f32::from_bits(bits.wrapping_sub(prev)), bits);
         }
     }
-    emit_sequence(out, &src[anchor..], None);
-}
-
-/// Decompress an LZ stream produced by [`lz_compress`] into `out`
-/// (cleared first). Fails unless exactly `expected_len` bytes come out.
-pub fn lz_decompress(src: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
     out.clear();
-    out.reserve(expected_len);
-    let mut p = 0usize;
-    loop {
-        let token = *src.get(p).ok_or_else(truncated)?;
-        p += 1;
-        let mut lit = usize::from(token >> 4);
-        let mnib = usize::from(token & 0x0f);
-        if lit == 15 {
-            lit += read_varlen(src, &mut p)?;
+    for run in res.chunks(BLOCK) {
+        let mut z = [0u32; BLOCK];
+        for (z, r) in z.iter_mut().zip(run) {
+            *z = zigzag(r.to_bits());
         }
-        let lits = src.get(p..p + lit).ok_or_else(truncated)?;
-        if out.len() + lit > expected_len {
-            return Err(corrupt("literal run exceeds declared chunk size"));
-        }
-        out.extend_from_slice(lits);
-        p += lit;
-        if p == src.len() {
-            // Final sequence carries literals only.
-            break;
-        }
-        let off = src.get(p..p + 2).ok_or_else(truncated)?;
-        p += 2;
-        let offset = usize::from(u16::from_le_bytes([off[0], off[1]]));
-        let mut len = mnib + MIN_MATCH;
-        if mnib == 15 {
-            len += read_varlen(src, &mut p)?;
-        }
-        if offset == 0 || offset > out.len() {
-            return Err(corrupt("match offset outside decoded prefix"));
-        }
-        if out.len() + len > expected_len {
-            return Err(corrupt("match run exceeds declared chunk size"));
-        }
-        // Overlapping matches replicate the trailing period; copy in
-        // doubling steps so each extend reads only already-written bytes.
-        let start = out.len() - offset;
-        let mut remaining = len;
-        while remaining > 0 {
-            let take = remaining.min(out.len() - start);
-            out.extend_from_within(start..start + take);
-            remaining -= take;
-        }
+        let (code, w) = width_code(z.iter().fold(0, |a, &v| a | v));
+        let at = out.len();
+        out.resize(at + 1 + 4 * BLOCK, 0);
+        out[at] = code.to_le_bytes()[0];
+        pack_run(&mut out[at + 1..], &z, w);
+        out.truncate(at + 1 + (run.len() * w as usize).div_ceil(8));
     }
-    if out.len() != expected_len {
-        return Err(corrupt("decoded size does not match declared chunk size"));
+    if out.len() < values.len() * 4 {
+        return METHOD_LORENZO;
     }
-    Ok(())
-}
-
-/// XOR-delta against the previous value, then split the delta bytes into
-/// four byte planes. `out` is resized to `values.len() * 4`.
-pub fn forward_transform(values: &[f32], out: &mut Vec<u8>) {
-    let n = values.len();
     out.clear();
-    out.resize(n * 4, 0);
-    let (p0, rest) = out.split_at_mut(n);
-    let (p1, rest) = rest.split_at_mut(n);
-    let (p2, p3) = rest.split_at_mut(n);
-    let mut prev = 0u32;
-    for (i, v) in values.iter().enumerate() {
-        let bits = v.to_bits();
-        let b = (bits ^ prev).to_le_bytes();
-        prev = bits;
-        p0[i] = b[0];
-        p1[i] = b[1];
-        p2[i] = b[2];
-        p3[i] = b[3];
-    }
+    out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+    METHOD_RAW
 }
 
-/// Invert [`forward_transform`]: gather the four byte planes and undo the
-/// XOR-delta. `bytes.len()` must be exactly `out.len() * 4`.
-pub fn inverse_transform(bytes: &[u8], out: &mut [f32]) -> Result<()> {
-    let n = out.len();
-    if bytes.len() != n * 4 {
-        return Err(corrupt("transformed payload has wrong length"));
-    }
-    let (p0, rest) = bytes.split_at(n);
-    let (p1, rest) = rest.split_at(n);
-    let (p2, p3) = rest.split_at(n);
-    let mut prev = 0u32;
-    for (i, v) in out.iter_mut().enumerate() {
-        let d = u32::from_le_bytes([p0[i], p1[i], p2[i], p3[i]]);
-        prev ^= d;
-        *v = f32::from_bits(prev);
-    }
-    Ok(())
-}
-
-/// Compress one chunk of component values. Appends the payload to `out`
-/// (cleared first) and returns the method tag. Falls back to
-/// [`METHOD_RAW`] when the transform+LZ pipeline does not shrink the
-/// chunk, so compressed payloads never exceed raw ones.
-pub fn compress_chunk(values: &[f32], scratch: &mut Vec<u8>, out: &mut Vec<u8>) -> u32 {
-    out.clear();
-    forward_transform(values, scratch);
-    lz_compress(scratch, out);
-    if out.len() >= values.len() * 4 {
-        out.clear();
-        for v in values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        METHOD_RAW
-    } else {
-        METHOD_DELTA_LZ
-    }
-}
-
-/// Decompress one chunk into `out` (its length selects the expected value
-/// count). The compressed bytes are untrusted: any structural problem is
-/// an error, never a panic.
+/// Decompress one chunk at `shape` into `out` (its length selects the
+/// expected value count). The compressed bytes are untrusted: anything
+/// but the unique encoding of some chunk is an error, never a panic.
 pub fn decompress_chunk(
     method: u32,
     comp: &[u8],
-    scratch: &mut Vec<u8>,
+    shape: ChunkShape,
     out: &mut [f32],
 ) -> Result<()> {
     match method {
@@ -280,11 +167,89 @@ pub fn decompress_chunk(
             }
             Ok(())
         }
-        METHOD_DELTA_LZ => {
-            lz_decompress(comp, out.len() * 4, scratch)?;
-            inverse_transform(scratch, out)
+        METHOD_LORENZO => {
+            if comp.len() >= out.len() * 4 {
+                return Err(corrupt("packed chunk is no smaller than raw"));
+            }
+            unpack_residuals(comp, out)?;
+            unpredict(shape, out);
+            Ok(())
         }
         m => Err(corrupt(&format!("unknown method tag {m}"))),
+    }
+}
+
+/// Unpack every block's zig-zagged residuals into `out` as bit patterns,
+/// checking that the payload is canonical and exactly consumed. Full
+/// blocks take a loop of their own: a constant run length drops the
+/// per-value selects.
+fn unpack_residuals(comp: &[u8], out: &mut [f32]) -> Result<()> {
+    let (full, last) = out.as_chunks_mut::<BLOCK>();
+    let mut rest = comp;
+    for (blk, run) in full.iter_mut().enumerate() {
+        rest = unpack_block(blk, rest, run)?;
+    }
+    if !last.is_empty() {
+        rest = unpack_block(full.len(), rest, last)?;
+    }
+    match rest.len() {
+        0 => Ok(()),
+        n => Err(corrupt(&format!("{n} bytes past the last block"))),
+    }
+}
+
+/// Unpack block `blk` — its header and run — from the front of `rest`
+/// into `run`, and return the bytes after it.
+#[inline(always)]
+fn unpack_block<'a>(blk: usize, rest: &'a [u8], run: &mut [f32]) -> Result<&'a [u8]> {
+    let flaw = |what: String| Err(corrupt(&format!("block {blk}: {what}")));
+    let Some((&h, tail)) = rest.split_first() else {
+        return flaw("truncated before its header".into());
+    };
+    if h >> 5 != 0 {
+        return flaw(format!("unused header bit set ({h:#04x})"));
+    }
+    let (code, m) = (u32::from(h), run.len());
+    let w = code_width(code);
+    let bits = m * w as usize;
+    let len = bits.div_ceil(8);
+    if len > tail.len() {
+        return flaw(format!("truncated, needs {len} bytes, have {}", tail.len()));
+    }
+    // Read in place, or at the payload's end from a zero-padded copy.
+    let z = match tail.first_chunk::<WINDOW>() {
+        Some(window) => unpack_run(window, w, m),
+        None => {
+            let mut padded = [0u8; WINDOW];
+            padded[..tail.len()].copy_from_slice(tail);
+            unpack_run(&padded, w, m)
+        }
+    };
+    if !is_narrowest(code, z.iter().fold(0, |a, &v| a | v)) {
+        return flaw(format!("width code {code} is not the narrowest"));
+    }
+    if !bits.is_multiple_of(8) && tail[len - 1] >> (bits % 8) != 0 {
+        return flaw("padding bits set".into());
+    }
+    for (v, z) in run.iter_mut().zip(z) {
+        *v = f32::from_bits(unzigzag(z));
+    }
+    Ok(&tail[len..])
+}
+
+/// Invert [`compress_chunk`]'s residuals in place, in flat order, so each
+/// segment's corner terms read decoded values: `v = Σᵢr + d`, a running
+/// sum along the segment, then the corner rows added across it.
+fn unpredict(shape: ChunkShape, out: &mut [f32]) {
+    for (at, len, backs) in shape.rows(out.len()) {
+        let (done, cur) = out.split_at_mut(at);
+        let cur = &mut cur[..len];
+        let mut left = 0u32;
+        for v in cur.iter_mut() {
+            left = left.wrapping_add(v.to_bits());
+            *v = f32::from_bits(left);
+        }
+        corners(done, cur, at, backs, false);
     }
 }
 
@@ -292,12 +257,17 @@ pub fn decompress_chunk(
 mod tests {
     use super::*;
 
+    const SHAPE: ChunkShape = ChunkShape {
+        ni: 64,
+        nj: 64,
+        start: 0,
+    };
+
     fn roundtrip(values: &[f32]) -> (u32, usize) {
-        let mut scratch = Vec::new();
         let mut comp = Vec::new();
-        let method = compress_chunk(values, &mut scratch, &mut comp);
+        let method = compress_chunk(values, SHAPE, &mut comp);
         let mut back = vec![0.0f32; values.len()];
-        decompress_chunk(method, &comp, &mut scratch, &mut back).expect("decode");
+        decompress_chunk(method, &comp, SHAPE, &mut back).expect("decode");
         for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits(), "bitwise roundtrip");
         }
@@ -310,7 +280,7 @@ mod tests {
             .map(|i| 1.0 + (i as f32) * 1e-4)
             .collect();
         let (method, len) = roundtrip(&values);
-        assert_eq!(method, METHOD_DELTA_LZ);
+        assert_eq!(method, METHOD_LORENZO);
         assert!(
             len < values.len() * 4 / 2,
             "smooth ramp should compress >2x, got {len} of {}",
@@ -320,21 +290,19 @@ mod tests {
 
     #[test]
     fn constant_data_collapses() {
+        // Only the first value has a residual (its whole bit pattern, so
+        // its block is 32 bits wide); every block pays its header byte.
         let values = vec![3.25f32; 4096];
         let (method, len) = roundtrip(&values);
-        assert_eq!(method, METHOD_DELTA_LZ);
-        assert!(len < 128, "constant chunk should nearly vanish, got {len}");
+        assert_eq!(method, METHOD_LORENZO);
+        assert_eq!(len, 4096 / BLOCK + 4 * BLOCK);
     }
 
     #[test]
     fn zeros_collapse() {
-        // A run costs ~1 extension byte per 255 matched bytes, so the
-        // floor is ~length/255, not a constant.
+        // The floor is one zero header byte per block: 32x.
         let (_, len) = roundtrip(&vec![0.0f32; MAX_CHUNK_VALUES]);
-        assert!(
-            len < MAX_CHUNK_VALUES * 4 / 100,
-            "zero chunk should compress >100x, got {len}"
-        );
+        assert_eq!(len, MAX_CHUNK_VALUES / BLOCK);
     }
 
     #[test]
@@ -382,43 +350,15 @@ mod tests {
     }
 
     #[test]
-    fn literal_run_extension_boundaries() {
-        // Byte-level LZ roundtrip at the 15 / 15+255 literal-run edges.
-        for n in [14usize, 15, 16, 269, 270, 271, 600] {
-            let src: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
-            let mut comp = Vec::new();
-            lz_compress(&src, &mut comp);
-            let mut back = Vec::new();
-            lz_decompress(&comp, src.len(), &mut back).expect("decode");
-            assert_eq!(back, src, "n={n}");
-        }
-    }
-
-    #[test]
-    fn long_match_extension_and_overlap() {
-        // Period-1 and period-3 runs exercise overlapping matches and the
-        // match-length extension bytes.
-        for (period, n) in [(1usize, 5000usize), (3, 5000), (7, 1000)] {
-            let src: Vec<u8> = (0..n).map(|i| (i % period) as u8).collect();
-            let mut comp = Vec::new();
-            lz_compress(&src, &mut comp);
-            assert!(comp.len() < n / 4, "period {period} should compress");
-            let mut back = Vec::new();
-            lz_decompress(&comp, src.len(), &mut back).expect("decode");
-            assert_eq!(back, src);
-        }
-    }
-
-    #[test]
     fn truncated_stream_rejected() {
-        let values: Vec<f32> = (0..2048).map(|i| (i as f32).sin()).collect();
-        let mut scratch = Vec::new();
+        let values: Vec<f32> = (0..2048).map(|i| (i as f32 * 0.01).sin()).collect();
         let mut comp = Vec::new();
-        let method = compress_chunk(&values, &mut scratch, &mut comp);
+        let method = compress_chunk(&values, SHAPE, &mut comp);
+        assert_eq!(method, METHOD_LORENZO);
         let mut back = vec![0.0f32; values.len()];
         for cut in [0, 1, comp.len() / 2, comp.len() - 1] {
             assert!(
-                decompress_chunk(method, &comp[..cut], &mut scratch, &mut back).is_err(),
+                decompress_chunk(method, &comp[..cut], SHAPE, &mut back).is_err(),
                 "cut={cut} must be rejected"
             );
         }
@@ -426,30 +366,25 @@ mod tests {
 
     #[test]
     fn wrong_expected_len_rejected() {
-        let src = vec![7u8; 100];
+        let values: Vec<f32> = (0..100).map(|i| i as f32 * 0.5).collect();
         let mut comp = Vec::new();
-        lz_compress(&src, &mut comp);
-        let mut back = Vec::new();
-        assert!(lz_decompress(&comp, 99, &mut back).is_err());
-        assert!(lz_decompress(&comp, 101, &mut back).is_err());
-    }
-
-    #[test]
-    fn corrupt_offset_rejected() {
-        // A match at the very start of the stream has nothing to refer
-        // back to; hand-build one.
-        let stream = [0x04u8, 0xff, 0xff]; // token: 0 literals, match len 8, offset 0xffff
-        let mut out = Vec::new();
-        assert!(lz_decompress(&stream, 8, &mut out).is_err());
-        let zero_off = [0x04u8, 0x00, 0x00];
-        assert!(lz_decompress(&zero_off, 8, &mut out).is_err());
+        let method = compress_chunk(&values, SHAPE, &mut comp);
+        assert_eq!(method, METHOD_LORENZO);
+        for n in [96, 99, 101, 104] {
+            let mut back = vec![0.0f32; n];
+            assert!(
+                decompress_chunk(method, &comp, SHAPE, &mut back).is_err(),
+                "n={n}"
+            );
+        }
     }
 
     #[test]
     fn unknown_method_rejected() {
-        let mut scratch = Vec::new();
         let mut out = vec![0.0f32; 4];
-        assert!(decompress_chunk(99, &[0u8; 16], &mut scratch, &mut out).is_err());
+        for retired_or_unknown in [1, 3, 99] {
+            assert!(decompress_chunk(retired_or_unknown, &[0u8; 16], SHAPE, &mut out).is_err());
+        }
     }
 
     #[test]

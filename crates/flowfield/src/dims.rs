@@ -32,6 +32,14 @@ impl Dims {
         self.ni as usize * self.nj as usize * self.nk as usize
     }
 
+    /// [`Dims::point_count`], or `None` when the product overflows — for
+    /// dims read from an untrusted header.
+    pub fn checked_point_count(&self) -> Option<usize> {
+        (self.ni as usize)
+            .checked_mul(self.nj as usize)?
+            .checked_mul(self.nk as usize)
+    }
+
     /// Number of hexahedral cells.
     #[inline]
     pub fn cell_count(&self) -> usize {

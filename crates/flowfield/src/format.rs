@@ -33,22 +33,34 @@ const MAGIC_VELOCITY: &[u8; 4] = b"DVWQ";
 const MAGIC_META: &[u8; 4] = b"DVWM";
 const FORMAT_VERSION: u32 = 1;
 
-/// Current velocity *container* version, written by [`write_velocity_v2`].
-/// Version 2 splits the payload into independently-decodable compressed
-/// chunks (see [`codec`]); version 1 is the raw component-planar layout.
-/// Grid and meta files stay at version 1 — their layout is unchanged.
+/// Current velocity *container* version, written by [`write_velocity_v2`]:
+/// the payload is split into independently decodable compressed chunks
+/// (see [`codec`]). Version 1, the raw component-planar layout, stays
+/// readable; version 2 (the retired LZ chunk codec) is refused at the
+/// header by name. Grid and meta files stay at version 1 — their layout
+/// is unchanged.
 ///
 /// This constant must change iff the container layout changes; dvw-lint's
 /// wire pass pins it against `lint.toml` the same way PROTOCOL_VERSION is
 /// pinned (a bump requires the layout-change marker named there).
-pub const DATASET_FORMAT_VERSION: u32 = 2;
+// format:layout-change — version 3 stores chunks as 3-D Lorenzo residuals
+// bit-packed per 8-value block (method 2) in place of XOR-delta → byte
+// transpose → LZ (method 1, retired).
+pub const DATASET_FORMAT_VERSION: u32 = 3;
 
-/// v2 chunking granularity in values (64 KiB of raw f32 per chunk).
+/// Chunking granularity in values (64 KiB of raw f32 per chunk; four
+/// k-planes of the tapered cylinder, so each chunk restarts on a plane).
 pub const V2_CHUNK_VALUES: usize = codec::MAX_CHUNK_VALUES;
 
-/// Sanity bound when reading a v2 header: chunk granularity this large
-/// would defeat independent decode and is certainly corruption.
+/// Sanity bound when reading a chunked header: chunk granularity this
+/// large would defeat independent decode and is certainly corruption.
 const V2_MAX_CHUNK_VALUES: usize = 1 << 20;
+
+/// A count as the format's `u32`, refused (never truncated) if it does
+/// not fit.
+fn u32_of(n: usize, what: &str) -> Result<u32> {
+    u32::try_from(n).map_err(|_| FieldError::Format(format!("{what} {n} exceeds u32::MAX")))
+}
 
 fn write_u32(w: &mut impl Write, v: u32) -> Result<()> {
     w.write_all(&v.to_le_bytes())?;
@@ -145,12 +157,16 @@ pub fn write_grid(path: &Path, grid: &CurvilinearGrid) -> Result<()> {
     Ok(())
 }
 
-/// Read a grid file.
+/// Read a grid file. Its dims must describe exactly the bytes present,
+/// which is checked before the grid is allocated.
 pub fn read_grid(path: &Path) -> Result<CurvilinearGrid> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     expect_magic(&mut r, MAGIC_GRID)?;
     check_version(&mut r)?;
     let dims = read_dims(&mut r)?;
+    planes_fit(dims, len.saturating_sub(20))?;
     let mut field = VectorField::zeros(dims);
     read_plane(&mut r, field.as_mut_slice(), |v, f| v.x = f)?;
     read_plane(&mut r, field.as_mut_slice(), |v, f| v.y = f)?;
@@ -183,7 +199,7 @@ pub struct VelocityHeader {
 }
 
 /// Per-timestep decode health, produced by the salvage decoder
-/// ([`decode_velocity_salvage_into`]): which v2 chunks failed their
+/// ([`decode_velocity_salvage_into`]): which chunks failed their
 /// checksum (or would not decompress) and were zero-filled instead.
 ///
 /// `chunk_count == 0` marks a v1 payload — v1 has no chunk framing, so
@@ -247,82 +263,139 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// One v2 chunk: a contiguous run of values of one component.
+/// Check that `have` payload bytes hold exactly the three raw f32 planes
+/// of `dims` — before anything is allocated for them.
+fn planes_fit(dims: Dims, have: u64) -> Result<()> {
+    dims.checked_point_count()
+        .filter(|&n| (n as u64).checked_mul(12) == Some(have))
+        .map(drop)
+        .ok_or_else(|| {
+            FieldError::Format(format!(
+                "{dims:?} needs 12 B a point, the payload holds {have} B"
+            ))
+        })
+}
+
+/// One chunk: a contiguous run of values of one component.
 struct ChunkDesc<'a> {
     method: u32,
     checksum: u32,
+    comp: usize,
+    shape: codec::ChunkShape,
     values: usize,
     bytes: &'a [u8],
 }
 
-// Per-worker decode scratch (LZ output + one component plane), reused
-// across fetches so the steady-state decode path allocates nothing.
+/// A velocity file's payload, checked against the bytes present.
+enum Payload<'a> {
+    /// Version 1: the U, V and W planes, exactly 12 B a point.
+    Planes(&'a [u8]),
+    /// The chunked container, component-major: all U chunks, then V, W.
+    Chunks(Vec<ChunkDesc<'a>>),
+}
+
+// Per-worker decode plane for the AoS scatter, reused across fetches so
+// the steady-state decode path allocates nothing.
 thread_local! {
-    static DECODE_SCRATCH: RefCell<(Vec<u8>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    static DECODE_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Decode one chunk, checksum-verified, into `out` (len == chunk values).
-fn decode_chunk_into(d: &ChunkDesc<'_>, out: &mut [f32]) -> Result<()> {
-    if codec::checksum(d.bytes) != d.checksum {
-        return Err(FieldError::Corrupt("chunk checksum mismatch".into()));
+impl ChunkDesc<'_> {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.shape.start..self.shape.start + self.values
     }
-    DECODE_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        codec::decompress_chunk(d.method, d.bytes, &mut scratch.0, out)
-    })
+
+    /// Decode, checksum-verified, into `out` (the chunk's plane slice).
+    fn decode(&self, out: &mut [f32]) -> Result<()> {
+        if codec::checksum(self.bytes) != self.checksum {
+            return Err(FieldError::Corrupt("chunk checksum mismatch".into()));
+        }
+        codec::decompress_chunk(self.method, self.bytes, self.shape, out)
+    }
+
+    /// Decode and scatter into this chunk's component of `dst`, its
+    /// point range. A chunk that fails leaves that component zero — the
+    /// salvage decoder's bounded stand-in — and returns the error.
+    fn decode_aos(&self, dst: &mut [Vec3]) -> Result<()> {
+        DECODE_SCRATCH.with(|cell| {
+            let mut plane = cell.borrow_mut();
+            plane.clear();
+            plane.resize(dst.len(), 0.0);
+            let res = self.decode(&mut plane);
+            if res.is_err() {
+                plane.fill(0.0);
+            }
+            scatter_component(self.comp, plane.iter().copied(), dst);
+            res
+        })
+    }
 }
 
-/// Parse the v2 chunk table that follows the common header. Returns the
-/// chunk granularity and the three per-component descriptor runs
-/// (concatenated, component-major: all U chunks, then V, then W).
-fn parse_v2_chunks<'a>(c: &mut Cur<'a>, point_count: usize) -> Result<(usize, Vec<ChunkDesc<'a>>)> {
+fn scatter_component(comp: usize, plane: impl Iterator<Item = f32>, dst: &mut [Vec3]) {
+    let pairs = dst.iter_mut().zip(plane);
+    match comp {
+        0 => pairs.for_each(|(v, f)| v.x = f),
+        1 => pairs.for_each(|(v, f)| v.y = f),
+        _ => pairs.for_each(|(v, f)| v.z = f),
+    }
+}
+
+/// Parse the chunk table that follows the common header. Every count is
+/// bounded by the bytes present before anything is allocated for it: a
+/// descriptor takes 16 B and a chunk's payload at least a byte per eight
+/// values, so a header cannot claim more points than 8 per file byte.
+fn parse_chunks<'a>(c: &mut Cur<'a>, dims: Dims, n: usize) -> Result<Vec<ChunkDesc<'a>>> {
     let chunk_values = c.u32()? as usize;
     if chunk_values == 0 || chunk_values > V2_MAX_CHUNK_VALUES {
         return Err(FieldError::Format(format!(
-            "bad v2 chunk granularity {chunk_values}"
+            "bad chunk granularity {chunk_values}"
         )));
     }
     let chunk_count = c.u32()? as usize;
-    let per_comp = point_count.div_ceil(chunk_values);
-    if chunk_count != per_comp * 3 {
+    let per_comp = n.div_ceil(chunk_values);
+    if chunk_count != per_comp * 3 || chunk_count > c.rest().len() / 16 {
         return Err(FieldError::Format(format!(
-            "v2 chunk count {chunk_count} does not match {per_comp} per component"
+            "chunk count {chunk_count} does not match {per_comp} per component or the {} bytes left",
+            c.rest().len()
         )));
     }
     let mut chunks = Vec::with_capacity(chunk_count);
-    for i in 0..chunk_count {
-        let method = c.u32()?;
-        let values = c.u32()? as usize;
-        let comp_len = c.u32()? as usize;
-        let checksum = c.u32()?;
-        let expected = match (i % per_comp.max(1)) + 1 == per_comp {
-            true => point_count - (per_comp - 1) * chunk_values,
-            false => chunk_values,
-        };
-        if values != expected {
+    for ci in 0..chunk_count {
+        let (method, values) = (c.u32()?, c.u32()? as usize);
+        let (comp_len, checksum) = (c.u32()? as usize, c.u32()?);
+        let start = ci % per_comp * chunk_values;
+        let expected = chunk_values.min(n - start);
+        if values != expected || comp_len < values.div_ceil(8) {
             return Err(FieldError::Format(format!(
-                "v2 chunk {i} declares {values} values, expected {expected}"
+                "chunk {ci} declares {values} values in {comp_len} bytes, expected {expected} values"
             )));
         }
-        let bytes = c.take(comp_len)?;
         chunks.push(ChunkDesc {
             method,
             checksum,
+            comp: ci / per_comp,
+            shape: codec::ChunkShape {
+                ni: dims.ni as usize,
+                nj: dims.nj as usize,
+                start,
+            },
             values,
-            bytes,
+            bytes: c.take(comp_len)?,
         });
     }
     if !c.rest().is_empty() {
         return Err(FieldError::Format(
-            "trailing bytes after v2 chunk table".into(),
+            "trailing bytes after chunk table".into(),
         ));
     }
-    Ok((chunk_values, chunks))
+    Ok(chunks)
 }
 
-/// Common velocity header: magic, version, dims, index, time. Returns the
-/// version so the caller can dispatch on the container layout.
-fn parse_velocity_header(c: &mut Cur<'_>) -> Result<(u32, VelocityHeader)> {
+/// Parse a velocity file: magic, version, dims, index, time, then the
+/// payload, whose size is checked against the dims before anyone
+/// allocates a field for them.
+fn parse_velocity(data: &[u8]) -> Result<(VelocityHeader, Payload<'_>)> {
+    let mut c = Cur::new(data);
     let magic = c.take(4)?;
     if magic != MAGIC_VELOCITY {
         return Err(FieldError::Format(format!(
@@ -337,140 +410,73 @@ fn parse_velocity_header(c: &mut Cur<'_>) -> Result<(u32, VelocityHeader)> {
         )));
     }
     let dims = Dims::new(c.u32()?, c.u32()?, c.u32()?);
-    let index = c.u32()?;
-    let time = c.f32()?;
-    Ok((version, VelocityHeader { dims, index, time }))
+    let header = VelocityHeader {
+        dims,
+        index: c.u32()?,
+        time: c.f32()?,
+    };
+    let payload = if version == FORMAT_VERSION {
+        planes_fit(dims, c.rest().len() as u64)?;
+        Payload::Planes(c.rest())
+    } else {
+        let n = dims
+            .checked_point_count()
+            .ok_or_else(|| FieldError::Format(format!("{dims:?} overflows a point count")))?;
+        Payload::Chunks(parse_chunks(&mut c, dims, n)?)
+    };
+    Ok((header, payload))
 }
 
-/// Decode a v1 component-planar payload into an AoS field.
-fn decode_v1_into(c: &Cur<'_>, into: &mut VectorField) -> Result<()> {
-    let n = into.dims().point_count();
-    let rest = c.rest();
-    if rest.len() != n * 12 {
-        return Err(FieldError::Format(format!(
-            "v1 payload is {} bytes, expected {}",
-            rest.len(),
-            n * 12
-        )));
+/// [`parse_velocity`], for a destination whose dims must match.
+fn parse_velocity_for(data: &[u8], dims: Dims) -> Result<(VelocityHeader, Payload<'_>)> {
+    let (header, payload) = parse_velocity(data)?;
+    if header.dims != dims {
+        return Err(FieldError::LengthMismatch {
+            expected: dims.point_count(),
+            actual: header.dims.checked_point_count().unwrap_or(usize::MAX),
+        });
     }
-    let (px, rest) = rest.split_at(n * 4);
-    let (py, pz) = rest.split_at(n * 4);
-    let out = into.as_mut_slice();
-    for (v, b) in out.iter_mut().zip(px.chunks_exact(4)) {
-        v.x = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    }
-    for (v, b) in out.iter_mut().zip(py.chunks_exact(4)) {
-        v.y = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    }
-    for (v, b) in out.iter_mut().zip(pz.chunks_exact(4)) {
-        v.z = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    }
-    Ok(())
+    Ok((header, payload))
 }
 
-/// Decode a v2 chunked payload into an AoS field. Point ranges are
-/// decoded in parallel via rayon: each range scatters its three component
-/// chunks into a disjoint slice of the field.
-fn decode_v2_into(mut c: Cur<'_>, into: &mut VectorField) -> Result<()> {
-    let n = into.dims().point_count();
-    let (chunk_values, chunks) = parse_v2_chunks(&mut c, n)?;
-    let per_comp = n.div_ceil(chunk_values);
+/// The `comp`th raw f32 plane of a version 1 payload.
+fn raw_plane(planes: &[u8], comp: usize) -> impl Iterator<Item = f32> + '_ {
+    let n = planes.len() / 12;
+    planes[comp * n * 4..(comp + 1) * n * 4]
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
+/// Decode a parsed payload into an AoS field of the same dims. Chunked
+/// point ranges decode in parallel via rayon: each range scatters its
+/// three component chunks into a disjoint slice of the field.
+fn decode_payload(payload: &Payload<'_>, into: &mut VectorField) -> Result<()> {
+    let chunks = match payload {
+        Payload::Planes(planes) => {
+            for comp in 0..3 {
+                scatter_component(comp, raw_plane(planes, comp), into.as_mut_slice());
+            }
+            return Ok(());
+        }
+        Payload::Chunks(chunks) => chunks,
+    };
+    let per_comp = chunks.len() / 3;
+    let chunk_values = chunks.first().map_or(1, |d| d.values);
     let ranges: Vec<(usize, &mut [Vec3])> = into
         .as_mut_slice()
         .chunks_mut(chunk_values)
         .enumerate()
         .collect();
-    let chunks = &chunks;
-    let errors: Vec<FieldError> = ranges
+    let results: Vec<Result<()>> = ranges
         .into_par_iter()
-        .filter_map(|(ri, dst)| decode_range(chunks, per_comp, ri, dst).err())
+        .map(|(ri, dst)| {
+            (0..3).try_for_each(|comp| match chunks.get(comp * per_comp + ri) {
+                Some(d) => d.decode_aos(dst),
+                None => Err(FieldError::Format("chunk table shorter than ranges".into())),
+            })
+        })
         .collect();
-    match errors.into_iter().next() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// Decode one component chunk (checksum-verified) and scatter it into the
-/// matching component of the AoS destination slice.
-fn decode_component_chunk(d: &ChunkDesc<'_>, comp: usize, dst: &mut [Vec3]) -> Result<()> {
-    if d.values != dst.len() {
-        return Err(FieldError::Format(
-            "chunk length does not match point range".into(),
-        ));
-    }
-    if codec::checksum(d.bytes) != d.checksum {
-        return Err(FieldError::Corrupt("chunk checksum mismatch".into()));
-    }
-    DECODE_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        let (lz, plane) = &mut *scratch;
-        plane.clear();
-        plane.resize(dst.len(), 0.0);
-        codec::decompress_chunk(d.method, d.bytes, lz, plane)?;
-        scatter_component(comp, plane, dst);
-        Ok(())
-    })
-}
-
-fn scatter_component(comp: usize, plane: &[f32], dst: &mut [Vec3]) {
-    match comp {
-        0 => {
-            for (v, f) in dst.iter_mut().zip(plane.iter()) {
-                v.x = *f;
-            }
-        }
-        1 => {
-            for (v, f) in dst.iter_mut().zip(plane.iter()) {
-                v.y = *f;
-            }
-        }
-        _ => {
-            for (v, f) in dst.iter_mut().zip(plane.iter()) {
-                v.z = *f;
-            }
-        }
-    }
-}
-
-/// Overwrite one component of the destination slice with zeros — the
-/// bounded stand-in the salvage decoder uses for an unrecoverable chunk
-/// (the `FieldHealth` mask records exactly which ranges were zeroed).
-fn zero_component(comp: usize, dst: &mut [Vec3]) {
-    match comp {
-        0 => {
-            for v in dst.iter_mut() {
-                v.x = 0.0;
-            }
-        }
-        1 => {
-            for v in dst.iter_mut() {
-                v.y = 0.0;
-            }
-        }
-        _ => {
-            for v in dst.iter_mut() {
-                v.z = 0.0;
-            }
-        }
-    }
-}
-
-/// Decode the U/V/W chunks of point range `ri` and scatter them into the
-/// AoS destination slice.
-fn decode_range(
-    chunks: &[ChunkDesc<'_>],
-    per_comp: usize,
-    ri: usize,
-    dst: &mut [Vec3],
-) -> Result<()> {
-    for comp in 0..3 {
-        let d = chunks
-            .get(comp * per_comp + ri)
-            .ok_or_else(|| FieldError::Format("chunk table shorter than ranges".into()))?;
-        decode_component_chunk(d, comp, dst)?;
-    }
-    Ok(())
+    results.into_iter().collect()
 }
 
 /// Decode an in-memory velocity file (either container version) into
@@ -478,66 +484,60 @@ fn decode_range(
 /// that account I/O and decode time separately — the storage fast path —
 /// can do the file read themselves.
 pub fn decode_velocity_into(data: &[u8], into: &mut VectorField) -> Result<VelocityHeader> {
-    let mut c = Cur::new(data);
-    let (version, header) = parse_velocity_header(&mut c)?;
-    if header.dims != into.dims() {
-        return Err(FieldError::LengthMismatch {
-            expected: into.dims().point_count(),
-            actual: header.dims.point_count(),
-        });
-    }
-    match version {
-        FORMAT_VERSION => decode_v1_into(&c, into)?,
-        _ => decode_v2_into(c, into)?,
-    }
+    let (header, payload) = parse_velocity_for(data, into.dims())?;
+    decode_payload(&payload, into)?;
     Ok(header)
 }
 
 /// Read one velocity timestep, reusing `into` (must match dims) to avoid
 /// per-frame allocation — the disk-streaming loop of §5.2 reads a timestep
 /// every frame, so the buffer is recycled. Handles both container
-/// versions: v1 raw planes and v2 compressed chunks. Returns the header.
+/// versions: v1 raw planes and compressed chunks. Returns the header.
 pub fn read_velocity_into(path: &Path, into: &mut VectorField) -> Result<VelocityHeader> {
     let data = std::fs::read(path)?;
     decode_velocity_into(&data, into)
 }
 
 /// Read one velocity timestep (either container version) into a fresh
-/// field.
+/// field, allocated only once the payload is known to hold its dims.
 pub fn read_velocity(path: &Path) -> Result<(VelocityHeader, VectorField)> {
     let data = std::fs::read(path)?;
-    let mut c = Cur::new(&data);
-    let (version, header) = parse_velocity_header(&mut c)?;
+    let (header, payload) = parse_velocity(&data)?;
     let mut field = VectorField::zeros(header.dims);
-    match version {
-        FORMAT_VERSION => decode_v1_into(&c, &mut field)?,
-        _ => decode_v2_into(c, &mut field)?,
-    }
+    decode_payload(&payload, &mut field)?;
     Ok((header, field))
 }
 
-/// Look up one chunk's component index, point range and descriptor.
-fn chunk_slot<'c, 'a, 'f>(
-    chunks: &'c [ChunkDesc<'a>],
-    chunk_values: usize,
-    per_comp: usize,
-    ci: usize,
-    field: &'f mut [Vec3],
-) -> Result<(&'c ChunkDesc<'a>, usize, &'f mut [Vec3])> {
-    let d = chunks
-        .get(ci)
-        .ok_or_else(|| FieldError::Format(format!("chunk index {ci} out of range")))?;
-    let comp = ci / per_comp.max(1);
-    let ri = ci % per_comp.max(1);
-    let start = ri * chunk_values;
-    let dst = field
-        .get_mut(start..start + d.values)
-        .ok_or_else(|| FieldError::Format("chunk table shorter than ranges".into()))?;
-    Ok((d, comp, dst))
+/// Decode the chunks of `payload` at component-major indices `which`
+/// into `into`, zero-filling each that fails; returns those indices.
+fn decode_chunks(
+    payload: &Payload<'_>,
+    into: &mut VectorField,
+    which: &[usize],
+) -> Result<Vec<usize>> {
+    let Payload::Chunks(chunks) = payload else {
+        return Err(FieldError::Format(
+            "chunk-level decode needs a chunked container".into(),
+        ));
+    };
+    let mut bad = Vec::new();
+    for &ci in which {
+        let d = chunks
+            .get(ci)
+            .ok_or_else(|| FieldError::Format(format!("chunk index {ci} out of range")))?;
+        let dst = into
+            .as_mut_slice()
+            .get_mut(d.range())
+            .ok_or_else(|| FieldError::Format("chunk table shorter than ranges".into()))?;
+        if d.decode_aos(dst).is_err() {
+            bad.push(ci);
+        }
+    }
+    Ok(bad)
 }
 
 /// Salvage-decode an in-memory velocity file into `into` (must match
-/// dims): every v2 chunk that passes its checksum and decompresses is
+/// dims): every chunk that passes its checksum and decompresses is
 /// decoded bit-exact; every chunk that does not is zero-filled and
 /// recorded in the returned [`FieldHealth`] mask. Structural damage —
 /// a torn header, a chunk table that does not describe the dims,
@@ -550,33 +550,22 @@ pub fn decode_velocity_salvage_into(
     data: &[u8],
     into: &mut VectorField,
 ) -> Result<(VelocityHeader, FieldHealth)> {
-    let mut c = Cur::new(data);
-    let (version, header) = parse_velocity_header(&mut c)?;
-    if header.dims != into.dims() {
-        return Err(FieldError::LengthMismatch {
-            expected: into.dims().point_count(),
-            actual: header.dims.point_count(),
-        });
-    }
-    if version == FORMAT_VERSION {
-        decode_v1_into(&c, into)?;
-        return Ok((header, FieldHealth::default()));
-    }
-    let n = into.dims().point_count();
-    let (chunk_values, chunks) = parse_v2_chunks(&mut c, n)?;
-    let per_comp = n.div_ceil(chunk_values);
-    let mut health = FieldHealth {
-        chunk_count: chunks.len(),
-        bad_chunks: Vec::new(),
-    };
-    for ci in 0..chunks.len() {
-        let (d, comp, dst) = chunk_slot(&chunks, chunk_values, per_comp, ci, into.as_mut_slice())?;
-        if decode_component_chunk(d, comp, dst).is_err() {
-            zero_component(comp, dst);
-            health.bad_chunks.push(ci);
+    let (header, payload) = parse_velocity_for(data, into.dims())?;
+    let chunk_count = match &payload {
+        Payload::Planes(_) => {
+            return decode_payload(&payload, into).map(|()| (header, FieldHealth::default()))
         }
-    }
-    Ok((header, health))
+        Payload::Chunks(chunks) => chunks.len(),
+    };
+    let all: Vec<usize> = (0..chunk_count).collect();
+    let bad_chunks = decode_chunks(&payload, into, &all)?;
+    Ok((
+        header,
+        FieldHealth {
+            chunk_count,
+            bad_chunks,
+        },
+    ))
 }
 
 /// Decode only the chunks named by `which` (component-major indices, as
@@ -591,134 +580,64 @@ pub fn decode_velocity_chunks_into(
     into: &mut VectorField,
     which: &[usize],
 ) -> Result<Vec<usize>> {
-    let mut c = Cur::new(data);
-    let (version, header) = parse_velocity_header(&mut c)?;
-    if version == FORMAT_VERSION {
-        return Err(FieldError::Format(
-            "chunk-level decode needs a v2 container".into(),
-        ));
-    }
-    if header.dims != into.dims() {
-        return Err(FieldError::LengthMismatch {
-            expected: into.dims().point_count(),
-            actual: header.dims.point_count(),
-        });
-    }
-    let n = into.dims().point_count();
-    let (chunk_values, chunks) = parse_v2_chunks(&mut c, n)?;
-    let per_comp = n.div_ceil(chunk_values);
-    let mut still_bad = Vec::new();
-    for &ci in which {
-        let (d, comp, dst) = chunk_slot(&chunks, chunk_values, per_comp, ci, into.as_mut_slice())?;
-        if decode_component_chunk(d, comp, dst).is_err() {
-            zero_component(comp, dst);
-            still_bad.push(ci);
-        }
-    }
-    Ok(still_bad)
+    let (_, payload) = parse_velocity_for(data, into.dims())?;
+    decode_chunks(&payload, into, which)
 }
 
-/// Byte ranges of every v2 chunk's compressed payload inside `data`
+/// Byte ranges of every chunk's compressed payload inside `data`
 /// (component-major chunk order). Fault-injection harnesses use this to
 /// aim bit flips at payload bytes — never at chunk framing — so an
 /// injected flip deterministically surfaces as a checksum failure on a
 /// known chunk index rather than an unparseable file.
 pub fn v2_chunk_payload_ranges(data: &[u8]) -> Result<Vec<std::ops::Range<usize>>> {
-    let mut c = Cur::new(data);
-    let (version, header) = parse_velocity_header(&mut c)?;
-    if version != DATASET_FORMAT_VERSION {
+    let Payload::Chunks(chunks) = parse_velocity(data)?.1 else {
         return Err(FieldError::Format(
-            "chunk payload ranges need a v2 container".into(),
+            "chunk payload ranges need a chunked container".into(),
         ));
-    }
-    let n = header.dims.point_count();
-    let chunk_values = c.u32()? as usize;
-    if chunk_values == 0 || chunk_values > V2_MAX_CHUNK_VALUES {
-        return Err(FieldError::Format(format!(
-            "bad v2 chunk granularity {chunk_values}"
-        )));
-    }
-    let chunk_count = c.u32()? as usize;
-    if chunk_count != n.div_ceil(chunk_values) * 3 {
-        return Err(FieldError::Format(format!(
-            "v2 chunk count {chunk_count} does not match dims"
-        )));
-    }
-    let mut ranges = Vec::with_capacity(chunk_count);
-    for _ in 0..chunk_count {
-        let _method = c.u32()?;
-        let _values = c.u32()?;
-        let comp_len = c.u32()? as usize;
-        let _checksum = c.u32()?;
-        let start = c.pos;
-        c.take(comp_len)?;
-        ranges.push(start..start + comp_len);
-    }
-    Ok(ranges)
+    };
+    // The 28-byte header, granularity and count, then each descriptor's
+    // 16 bytes ahead of its payload.
+    let mut at = 36;
+    Ok(chunks
+        .iter()
+        .map(|d| {
+            at += 16 + d.bytes.len();
+            at - d.bytes.len()..at
+        })
+        .collect())
 }
 
 /// Decode an in-memory velocity file straight into the SoA layout,
 /// skipping the AoS detour entirely. For v1 the component-planar file
-/// layout *is* the SoA layout, so this is three straight memcpy-style
-/// plane reads; for v2 each component's chunks decompress directly into
-/// its plane (in parallel via rayon — disjoint output ranges per chunk).
+/// layout *is* the SoA layout, so this is three straight plane copies;
+/// chunks decompress directly into their plane (in parallel via rayon —
+/// disjoint output ranges per chunk).
 pub fn decode_velocity_soa_into(data: &[u8], into: &mut VectorFieldSoA) -> Result<VelocityHeader> {
-    let mut c = Cur::new(data);
-    let (version, header) = parse_velocity_header(&mut c)?;
-    if header.dims != into.dims() {
-        return Err(FieldError::LengthMismatch {
-            expected: into.dims().point_count(),
-            actual: header.dims.point_count(),
-        });
-    }
-    let n = header.dims.point_count();
-    if version == FORMAT_VERSION {
-        let rest = c.rest();
-        if rest.len() != n * 12 {
-            return Err(FieldError::Format(format!(
-                "v1 payload is {} bytes, expected {}",
-                rest.len(),
-                n * 12
-            )));
-        }
-        let (px, rest) = rest.split_at(n * 4);
-        let (py, pz) = rest.split_at(n * 4);
-        for (plane, out) in [(px, &mut into.x), (py, &mut into.y), (pz, &mut into.z)] {
-            for (v, b) in out.iter_mut().zip(plane.chunks_exact(4)) {
-                *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let (header, payload) = parse_velocity_for(data, into.dims())?;
+    let planes = [&mut into.x, &mut into.y, &mut into.z];
+    let chunks = match payload {
+        Payload::Planes(raw) => {
+            for (comp, plane) in planes.into_iter().enumerate() {
+                plane
+                    .iter_mut()
+                    .zip(raw_plane(raw, comp))
+                    .for_each(|(v, f)| *v = f);
             }
+            return Ok(header);
         }
-        return Ok(header);
-    }
-    let (chunk_values, chunks) = parse_v2_chunks(&mut c, n)?;
-    let per_comp = n.div_ceil(chunk_values);
-    for (comp, plane) in [&mut into.x, &mut into.y, &mut into.z]
-        .into_iter()
-        .enumerate()
-    {
-        let comp_chunks = chunks
-            .get(comp * per_comp..(comp + 1) * per_comp)
-            .ok_or_else(|| FieldError::Format("chunk table shorter than ranges".into()))?;
-        let items: Vec<(&ChunkDesc<'_>, &mut [f32])> = comp_chunks
-            .iter()
-            .zip(plane.chunks_mut(chunk_values))
-            .collect();
-        let errors: Vec<FieldError> = items
-            .into_par_iter()
-            .filter_map(|(d, dst)| {
-                if d.values != dst.len() {
-                    return Some(FieldError::Format(
-                        "chunk length does not match point range".into(),
-                    ));
-                }
-                decode_chunk_into(d, dst).err()
-            })
-            .collect();
-        if let Some(e) = errors.into_iter().next() {
-            return Err(e);
-        }
-    }
-    Ok(header)
+        Payload::Chunks(chunks) => chunks,
+    };
+    let chunk_values = chunks.first().map_or(1, |d| d.values);
+    let items: Vec<(&ChunkDesc<'_>, &mut [f32])> = chunks
+        .chunks((chunks.len() / 3).max(1))
+        .zip(planes)
+        .flat_map(|(comp, plane)| comp.iter().zip(plane.chunks_mut(chunk_values)))
+        .collect();
+    let results: Vec<Result<()>> = items
+        .into_par_iter()
+        .map(|(d, dst)| d.decode(dst))
+        .collect();
+    results.into_iter().collect::<Result<()>>().map(|()| header)
 }
 
 /// Read one velocity timestep straight into the SoA layout (see
@@ -728,34 +647,30 @@ pub fn read_velocity_soa_into(path: &Path, into: &mut VectorFieldSoA) -> Result<
     decode_velocity_soa_into(&data, into)
 }
 
-/// Write one velocity timestep in the v2 compressed container: the common
-/// header, then `chunk_values`/`chunk_count`, then component-major chunks
-/// each tagged `(method, raw_values, comp_len, checksum)`. Chunks are
-/// independently decodable (the XOR-delta restarts per chunk) so readers
-/// can decompress them in parallel.
+/// Write one velocity timestep in the chunked compressed container
+/// (version [`DATASET_FORMAT_VERSION`]): the common header, then
+/// `chunk_values`/`chunk_count`, then component-major chunks each tagged
+/// `(method, raw_values, comp_len, checksum)`. Chunks are independently
+/// decodable (prediction reads nothing before a chunk's first value), so
+/// readers can decompress them in parallel.
 pub fn write_velocity_v2(path: &Path, index: u32, time: f32, field: &VectorField) -> Result<()> {
     let mut w = BufWriter::with_capacity(256 * 1024, File::create(path)?);
     w.write_all(MAGIC_VELOCITY)?;
     write_u32(&mut w, DATASET_FORMAT_VERSION)?;
-    write_dims(&mut w, field.dims())?;
+    let dims = field.dims();
+    write_dims(&mut w, dims)?;
     write_u32(&mut w, index)?;
     write_f32(&mut w, time)?;
-    let n = field.dims().point_count();
+    let n = dims.point_count();
     let cv = V2_CHUNK_VALUES;
     let per_comp = n.div_ceil(cv);
-    let cv_u32 = u32::try_from(cv)
-        .map_err(|_| FieldError::Format("chunk granularity exceeds u32::MAX".into()))?;
-    let count_u32 = u32::try_from(per_comp * 3)
-        .map_err(|_| FieldError::Format("chunk count exceeds u32::MAX".into()))?;
-    write_u32(&mut w, cv_u32)?;
-    write_u32(&mut w, count_u32)?;
+    write_u32(&mut w, u32_of(cv, "chunk granularity")?)?;
+    write_u32(&mut w, u32_of(per_comp * 3, "chunk count")?)?;
     let pts = field.as_slice();
     let mut values: Vec<f32> = Vec::with_capacity(cv.min(n.max(1)));
-    let mut scratch = Vec::new();
     let mut comp_buf = Vec::new();
     for comp in 0..3u32 {
-        let mut start = 0usize;
-        while start < n {
+        for start in (0..n).step_by(cv) {
             let end = (start + cv).min(n);
             values.clear();
             values.extend(pts[start..end].iter().map(|v| match comp {
@@ -763,17 +678,17 @@ pub fn write_velocity_v2(path: &Path, index: u32, time: f32, field: &VectorField
                 1 => v.y,
                 _ => v.z,
             }));
-            let method = codec::compress_chunk(&values, &mut scratch, &mut comp_buf);
+            let shape = codec::ChunkShape {
+                ni: dims.ni as usize,
+                nj: dims.nj as usize,
+                start,
+            };
+            let method = codec::compress_chunk(&values, shape, &mut comp_buf);
             write_u32(&mut w, method)?;
-            let raw_u32 = u32::try_from(values.len())
-                .map_err(|_| FieldError::Format("chunk value count exceeds u32::MAX".into()))?;
-            write_u32(&mut w, raw_u32)?;
-            let len_u32 = u32::try_from(comp_buf.len())
-                .map_err(|_| FieldError::Format("compressed chunk exceeds u32::MAX".into()))?;
-            write_u32(&mut w, len_u32)?;
+            write_u32(&mut w, u32_of(values.len(), "chunk value count")?)?;
+            write_u32(&mut w, u32_of(comp_buf.len(), "compressed chunk length")?)?;
             write_u32(&mut w, codec::checksum(&comp_buf))?;
             w.write_all(&comp_buf)?;
-            start = end;
         }
     }
     w.flush()?;
@@ -786,14 +701,10 @@ pub fn write_meta(path: &Path, meta: &DatasetMeta) -> Result<()> {
     w.write_all(MAGIC_META)?;
     write_u32(&mut w, FORMAT_VERSION)?;
     let name = meta.name.as_bytes();
-    let name_len = u32::try_from(name.len())
-        .map_err(|_| FieldError::Format("dataset name longer than u32::MAX bytes".into()))?;
-    write_u32(&mut w, name_len)?;
+    write_u32(&mut w, u32_of(name.len(), "dataset name length")?)?;
     w.write_all(name)?;
     write_dims(&mut w, meta.dims)?;
-    let steps = u32::try_from(meta.timestep_count)
-        .map_err(|_| FieldError::Format("timestep count exceeds u32::MAX".into()))?;
-    write_u32(&mut w, steps)?;
+    write_u32(&mut w, u32_of(meta.timestep_count, "timestep count")?)?;
     write_f32(&mut w, meta.dt)?;
     let coords = match meta.coords {
         VelocityCoords::Physical => 0u32,
@@ -851,37 +762,37 @@ pub fn velocity_path(dir: &Path, index: usize) -> PathBuf {
 
 /// Write a whole in-memory dataset as a dataset directory.
 pub fn write_dataset(dir: &Path, dataset: &Dataset) -> Result<()> {
-    std::fs::create_dir_all(dir)?;
-    write_meta(&meta_path(dir), dataset.meta())?;
-    write_grid(&grid_path(dir), dataset.grid())?;
-    for (idx, field) in dataset.timesteps().iter().enumerate() {
-        let time = idx as f32 * dataset.meta().dt;
-        let index = u32::try_from(idx)
-            .map_err(|_| FieldError::Format("timestep index exceeds u32::MAX".into()))?;
-        write_velocity(&velocity_path(dir, idx), index, time, field)?;
-    }
-    Ok(())
+    write_dataset_with(dir, dataset, write_velocity)
 }
 
-/// Write a whole in-memory dataset as a dataset directory using the v2
-/// compressed velocity container (meta and grid keep their v1 layout —
-/// they are read once at open, not streamed).
+/// Write a whole in-memory dataset as a dataset directory using the
+/// chunked compressed velocity container (meta and grid keep their v1
+/// layout — they are read once at open, not streamed).
 pub fn write_dataset_v2(dir: &Path, dataset: &Dataset) -> Result<()> {
+    write_dataset_with(dir, dataset, write_velocity_v2)
+}
+
+type VelocityWriter = fn(&Path, u32, f32, &VectorField) -> Result<()>;
+
+fn write_dataset_with(dir: &Path, dataset: &Dataset, write: VelocityWriter) -> Result<()> {
     std::fs::create_dir_all(dir)?;
     write_meta(&meta_path(dir), dataset.meta())?;
     write_grid(&grid_path(dir), dataset.grid())?;
     for (idx, field) in dataset.timesteps().iter().enumerate() {
         let time = idx as f32 * dataset.meta().dt;
-        let index = u32::try_from(idx)
-            .map_err(|_| FieldError::Format("timestep index exceeds u32::MAX".into()))?;
-        write_velocity_v2(&velocity_path(dir, idx), index, time, field)?;
+        write(
+            &velocity_path(dir, idx),
+            u32_of(idx, "timestep index")?,
+            time,
+            field,
+        )?;
     }
     Ok(())
 }
 
-/// Migrate a dataset directory to the v2 compressed container: meta and
-/// grid are copied verbatim, every timestep is re-encoded (v1 inputs are
-/// decoded first; v2 inputs are recompressed, which is a lossless no-op).
+/// Migrate a dataset directory to the chunked compressed container: meta
+/// and grid are copied verbatim, every timestep is re-encoded (v1 inputs
+/// are decoded first; chunked inputs re-encode to the same bytes).
 /// One reusable field buffer bounds memory at a single timestep. Returns
 /// the number of timesteps migrated.
 pub fn migrate_dataset_to_v2(src: &Path, dst: &Path) -> Result<usize> {
@@ -907,7 +818,9 @@ pub fn migrate_dataset_to_v2(src: &Path, dst: &Path) -> Result<usize> {
 pub fn read_dataset(dir: &Path) -> Result<Dataset> {
     let meta = read_meta(&meta_path(dir))?;
     let grid = read_grid(&grid_path(dir))?;
-    let mut timesteps = Vec::with_capacity(meta.timestep_count);
+    // Not reserved up front: the count is the meta file's word, and each
+    // timestep must exist before it is kept.
+    let mut timesteps = Vec::new();
     for idx in 0..meta.timestep_count {
         let (header, field) = read_velocity(&velocity_path(dir, idx))?;
         if header.index as usize != idx {
@@ -1336,6 +1249,63 @@ mod tests {
     fn migration_rejects_in_place() {
         let dir = tempdir().unwrap();
         assert!(migrate_dataset_to_v2(dir.path(), dir.path()).is_err());
+    }
+
+    /// Size fields come from untrusted headers: each count is bounded by
+    /// the bytes present before anything is allocated for it, so a torn
+    /// or hostile file is a named error, never an allocation abort.
+    #[test]
+    fn hostile_size_fields_are_refused_before_allocating() {
+        let dir = tempdir().unwrap();
+        let path = dir.path().join("q.dvwq");
+        let file = |path: &Path, magic: &[u8], words: &[u32]| {
+            let mut bytes = magic.to_vec();
+            words
+                .iter()
+                .for_each(|w| bytes.extend_from_slice(&w.to_le_bytes()));
+            std::fs::write(path, &bytes).unwrap();
+        };
+        // 28 bytes claiming 4096³ points (6.9e10 points, 824 GB as a
+        // field): a v1 payload that is not 12 B a point, a refused version,
+        // and a chunked file torn before its chunk table.
+        for version in [1, 2, 3] {
+            file(&path, b"DVWQ", &[version, 4096, 4096, 4096, 0, 0]);
+            match read_velocity(&path).unwrap_err() {
+                FieldError::Format(_) if version < 3 => {}
+                FieldError::Corrupt(m) if version == 3 => assert!(m.contains("truncated")),
+                err => panic!("v{version}: {err}"),
+            }
+        }
+        // Dims whose point count overflows, and a chunk table that claims
+        // more descriptors than the file holds.
+        file(&path, b"DVWQ", &[3, u32::MAX, u32::MAX, u32::MAX, 0, 0]);
+        let err = read_velocity(&path).unwrap_err().to_string();
+        assert!(err.contains("overflows a point count"), "{err}");
+        file(
+            &path,
+            b"DVWQ",
+            &[3, 4096, 4096, 4096, 0, 0, 16384, 12_582_912],
+        );
+        let err = read_velocity(&path).unwrap_err().to_string();
+        assert!(err.contains("chunk count 12582912"), "{err}");
+        // A grid file whose dims the file cannot hold.
+        let grid = dir.path().join("g.dvwg");
+        file(&grid, b"DVWG", &[1, 4096, 4096, 4096]);
+        let err = read_grid(&grid).unwrap_err();
+        assert!(matches!(err, FieldError::Format(_)), "{err}");
+        // A meta file claiming u32::MAX timesteps: nothing is reserved
+        // for them, and the first missing timestep file is the error.
+        write_grid(&grid_path(dir.path()), &sample_grid()).unwrap();
+        let meta = DatasetMeta {
+            name: "huge".into(),
+            dims: Dims::new(4, 3, 2),
+            timestep_count: u32::MAX as usize,
+            dt: 0.1,
+            coords: VelocityCoords::Grid,
+        };
+        write_meta(&meta_path(dir.path()), &meta).unwrap();
+        write_velocity(&velocity_path(dir.path(), 0), 0, 0.0, &sample_field(0.0)).unwrap();
+        assert!(matches!(read_dataset(dir.path()), Err(FieldError::Io(_))));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub enum FieldError {
     /// Corrupt file *content*: a checksum mismatch, a torn/truncated
     /// payload, or an undecodable compressed stream. Unlike [`Format`],
     /// this is the signature of a bad read — a retry may return clean
-    /// bytes, and v2 containers can be salvaged chunk by chunk.
+    /// bytes, and chunked containers can be salvaged chunk by chunk.
     ///
     /// [`Format`]: FieldError::Format
     Corrupt(String),

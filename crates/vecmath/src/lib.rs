@@ -18,6 +18,7 @@
 //! layer without copying.
 
 pub mod aabb;
+pub mod bitpack;
 pub mod mat3;
 pub mod mat4;
 pub mod quat;

@@ -36,7 +36,6 @@ RUST_BACKTRACE=1 cargo test -q --test chaos_resync
 # injected schedule exactly and a clean disk must report all zeros.
 PROPTEST_CASES=32 RUST_BACKTRACE=1 cargo test -q --test disk_chaos
 cargo run --release -p dvw-bench --bin bench_trace -- --quick
-cargo run --release -p dvw-bench --bin bench_storage -- --quick
 # Scalar-vs-batch streakline bitwise equality under a pinned case count
 # (the batch kernel is only as good as this proptest says it is).
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test streak_equiv
@@ -44,9 +43,11 @@ PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test 
 # into the velocity sample) bit-identical to the verbatim trace-then-map oracle,
 # per point in tracer and as encoded frame bytes in windtunnel.
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer -p dvw-windtunnel --test streamline_equiv
-# v2 container codec: write->read must be bitwise identical whatever the
-# bit patterns (NaN payloads, -0.0, denormals), and truncation/corruption
-# must be rejected, never mis-decoded.
+# Chunk codec (3-D Lorenzo, bit-packed): write->read bitwise identical
+# whatever the bit patterns (NaN payloads, -0.0, denormals), equal to its
+# straight-line reference encoder at every chunk shape, canonical, and
+# truncation/corruption rejected by name, never mis-decoded. Once at the
+# default seed here, once at the fresh seed below.
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --test codec_roundtrip
 # Wire point codec: bit-exact round trip on arbitrary bit patterns, equal
 # to its straight-line reference encoder, inside its size bounds, canonical,
@@ -56,7 +57,8 @@ PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --te
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 seed=$(date +%s%N)
-echo "wire codec: fresh PROPTEST_SEED=$seed"
+echo "wire and field codecs: fresh PROPTEST_SEED=$seed"
+PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --test codec_roundtrip
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 # Renderer: the concurrent two-eye anaglyph (and the client's display path

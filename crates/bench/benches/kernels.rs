@@ -98,42 +98,10 @@ fn bench_table3_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_adaptive_vs_fixed(c: &mut Criterion) {
-    use tracer::adaptive::{adaptive_streamline, AdaptiveConfig};
-    use tracer::streamline;
-    let (field, domain) = tapered_field(small_spec(), 3.0);
-    let dims = small_spec().dims;
-    let seed = Vec3::new(
-        (dims.ni - 1) as f32 * 0.5,
-        (dims.nj - 1) as f32 * 0.4,
-        (dims.nk - 1) as f32 * 0.5,
-    );
-    let mut g = c.benchmark_group("adaptive_vs_fixed_step");
-    g.bench_function("fixed_rk2_200pts", |b| {
-        let cfg = TraceConfig {
-            dt: 0.05,
-            max_points: 200,
-            ..TraceConfig::default()
-        };
-        b.iter(|| black_box(streamline(&field, &domain, black_box(seed), &cfg)))
-    });
-    g.bench_function("adaptive_rk2_tol1e-3", |b| {
-        let cfg = AdaptiveConfig {
-            tolerance: 1.0e-3,
-            dt0: 0.05,
-            max_points: 200,
-            ..AdaptiveConfig::default()
-        };
-        b.iter(|| black_box(adaptive_streamline(&field, &domain, black_box(seed), &cfg)))
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_interpolation,
     bench_integrators,
-    bench_table3_kernels,
-    bench_adaptive_vs_fixed
+    bench_table3_kernels
 );
 criterion_main!(benches);

@@ -48,7 +48,6 @@ fn main() {
     eprintln!("generating field ...");
     let (field, domain) = tapered_field(spec, 12.0);
     let field_aos = field.clone();
-    let field_soa = field.to_soa();
     let bench = BenchField::new(field, spec.build().expect("grid"), domain);
     let seeds = paper_benchmark_seeds(spec.dims, PAPER_STREAMLINES);
     // dt chosen so a 200-step path stays inside the O-grid disc for
@@ -154,11 +153,11 @@ fn main() {
     // scalar row steps one particle at a time through two trilinear
     // samples + a lerp; the batch rows run the fused kernel (cell +
     // weights located once per particle, both timesteps gathered from
-    // SoA arrays) in rayon-chunked lockstep. Identical output bits —
+    // one node-interleaved copy) in rayon-chunked lockstep. Identical output bits —
     // see tracer/tests/streak_equiv.rs.
     println!("\nStreak advance: smoke pool on the tapered-cylinder field (alpha = 0.37)\n");
     let streak_pair_aos = BlendedPair::new(&field_aos, &field_aos, 0.37);
-    let streak_pair_soa = BlendedPairSoA::new(&field_soa, &field_soa, 0.37).expect("matching dims");
+    let streak_pair_soa = BlendedPairSoA::new(&field_aos, &field_aos, 0.37).expect("matching dims");
     let streak_cfg = StreaklineConfig {
         dt: 0.04,
         max_age: 199,
@@ -208,7 +207,7 @@ fn main() {
             format!("{:.1}", particles as f64 / batch_t / 1e6),
         ]);
     }
-    println!("({particles} live particles; full sweep in bench_trace / BENCH_trace.json)");
+    println!("({particles} live particles)");
 
     println!();
     let cores = std::thread::available_parallelism()

@@ -26,8 +26,6 @@
 //! * [`server`] — multi-connection TCP server with a **single serial
 //!   dispatcher** over persistent, typed server state,
 //! * [`client`] — blocking call interface,
-//! * [`segments`] — remote memory segments (alloc/write/read/free) layered
-//!   on the call mechanism, as the original dlib offered,
 //! * [`throttle`] — a bandwidth-paced stream wrapper standing in for the
 //!   UltraNet's 13 MB/s (or its buggy 1 MB/s) links in Table 1 runs.
 
@@ -35,10 +33,8 @@ pub mod chaos;
 pub mod client;
 pub mod message;
 pub mod resilient;
-pub mod segments;
 pub mod server;
 pub mod throttle;
-pub mod typed;
 pub mod wire;
 
 pub use chaos::{FaultAction, FaultConfig, FaultPlan};

@@ -1,5 +1,5 @@
 //! Seeded wire-protocol violations: version drift without a marker, a
-//! proc-id collision, a reserved-range id, and two one-way codecs.
+//! proc-id collision, a reserved-range id, and a one-way codec.
 
 pub const PROTOCOL_VERSION: u32 = 2;
 
@@ -25,23 +25,5 @@ impl Paired {
 
     pub fn decode(_buf: &[u8]) -> Paired {
         Paired
-    }
-}
-
-pub struct Lopsided;
-
-impl WireEncode for Lopsided {
-    fn encode_to(&self, _out: &mut Vec<u8>) {}
-}
-
-pub struct Balanced;
-
-impl WireEncode for Balanced {
-    fn encode_to(&self, _out: &mut Vec<u8>) {}
-}
-
-impl WireDecode for Balanced {
-    fn decode_from(_buf: &[u8]) -> Balanced {
-        Balanced
     }
 }

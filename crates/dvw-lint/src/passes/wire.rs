@@ -12,10 +12,8 @@
 //!   unless a `wire:non-additive` marker comment declares a breaking
 //!   change, in which case it must be *greater* (bump then update the
 //!   baseline and drop the marker when the release ships);
-//! * every `impl WireEncode for T` in the workspace has a matching
-//!   `impl WireDecode for T`, and every inherent `fn encode*` in a proto
-//!   file's `impl T` block has a sibling `fn decode*` — one-way types rot
-//!   into undecodable frames.
+//! * every inherent `fn encode*` in a proto file's `impl T` block has a
+//!   sibling `fn decode*` — one-way types rot into undecodable frames.
 
 use crate::config::Config;
 use crate::lexer::TokKind;
@@ -27,7 +25,6 @@ pub fn check(files: &[SourceFile], cfg: &Config, sink: &mut Sink) {
     check_proc_ids(files, cfg, sink);
     check_protocol_version(files, cfg, sink);
     check_dataset_format_version(files, cfg, sink);
-    check_trait_pairs(files, sink);
     check_inherent_pairs(files, cfg, sink);
 }
 
@@ -256,79 +253,6 @@ fn check_dataset_format_version(files: &[SourceFile], cfg: &Config, sink: &mut S
             ));
         }
         _ => {}
-    }
-}
-
-/// `impl [<..>] WireEncode for T` must pair with `impl WireDecode for T`.
-fn check_trait_pairs(files: &[SourceFile], sink: &mut Sink) {
-    let mut encodes: HashMap<String, (String, u32)> = HashMap::new();
-    let mut decodes: HashMap<String, (String, u32)> = HashMap::new();
-    for f in files {
-        let code = &f.code;
-        for (i, t) in code.iter().enumerate() {
-            if !t.is_ident("impl") {
-                continue;
-            }
-            // Skip optional generics `<..>`.
-            let mut j = i + 1;
-            if code.get(j).map(|n| n.is_punct('<')).unwrap_or(false) {
-                let mut depth = 0i32;
-                while j < code.len() {
-                    if code[j].is_punct('<') {
-                        depth += 1;
-                    } else if code[j].is_punct('>') {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-            }
-            let Some(trait_tok) = code.get(j) else {
-                continue;
-            };
-            let which = match trait_tok.text.as_str() {
-                "WireEncode" => true,
-                "WireDecode" => false,
-                _ => continue,
-            };
-            // Types that only exist inside `#[cfg(test)]` don't ship.
-            if f.is_test_line(trait_tok.line) {
-                continue;
-            }
-            // Expect `for TYPE... {`; capture the type's token text.
-            let mut k = j + 1;
-            if !code.get(k).map(|n| n.is_ident("for")).unwrap_or(false) {
-                continue; // a trait definition or unrelated impl
-            }
-            k += 1;
-            let mut ty = String::new();
-            while let Some(n) = code.get(k) {
-                if n.is_punct('{') || n.is_ident("where") {
-                    break;
-                }
-                ty.push_str(&n.text);
-                k += 1;
-            }
-            let entry = (f.rel.clone(), trait_tok.line);
-            if which {
-                encodes.entry(ty).or_insert(entry);
-            } else {
-                decodes.entry(ty).or_insert(entry);
-            }
-        }
-    }
-    for (ty, (file, line)) in &encodes {
-        if !decodes.contains_key(ty) {
-            sink.push(Finding::new(
-                file,
-                *line,
-                Pass::WireProtocol,
-                format!("`impl WireEncode for {ty}` has no matching `impl WireDecode`"),
-            ));
-        }
     }
 }
 

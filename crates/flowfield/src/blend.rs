@@ -10,7 +10,7 @@
 //! * [`BlendedPair`] — the scalar reference: any two [`FieldSample`]s and
 //!   a blend factor, sampled as `a.lerp(b, alpha)`. This is the exact
 //!   arithmetic every fused kernel must reproduce bit for bit.
-//! * [`BlendedPairSoA`] — two [`VectorFieldSoA`] timesteps interleaved
+//! * [`BlendedPairSoA`] — two [`VectorField`] timesteps interleaved
 //!   node-by-node into 32-byte [`PairNode`]s and sampled by the *fused*
 //!   batch kernel [`BlendedPairSoA::sample_batch_blended`]: cell base
 //!   index and the 8 trilinear weights are computed once per particle
@@ -31,7 +31,7 @@
 //! and blended with the same `a + (b - a) * alpha` formula. Tests below
 //! (and the streakline equality proptest in `tracer`) hold this line.
 
-use crate::field::{trilinear_weights, FieldSample, VectorField, VectorFieldSoA};
+use crate::field::{trilinear_weights, FieldSample, VectorField};
 use crate::{Dims, FieldError, Result};
 use vecmath::Vec3;
 
@@ -76,7 +76,7 @@ impl<F: FieldSample> FieldSample for BlendedPair<'_, F> {
 #[repr(align(32))]
 struct PairNode([f32; 8]);
 
-/// Two SoA timesteps and a blend factor, with the fused batch kernel.
+/// Two timesteps and a blend factor, with the fused batch kernel.
 ///
 /// Construction *interleaves* the two timesteps per node — each
 /// [`PairNode`] packs `[f0.x, f1.x, f0.y, f1.y, f0.z, f1.z, 0, 0]` — so
@@ -97,19 +97,17 @@ pub struct BlendedPairSoA {
     alpha: f32,
 }
 
-fn interleave(f0: &VectorFieldSoA, f1: &VectorFieldSoA) -> Vec<PairNode> {
-    (0..f0.x.len())
-        .map(|n| {
-            PairNode([
-                f0.x[n], f1.x[n], f0.y[n], f1.y[n], f0.z[n], f1.z[n], 0.0, 0.0,
-            ])
-        })
+fn interleave(f0: &VectorField, f1: &VectorField) -> Vec<PairNode> {
+    f0.as_slice()
+        .iter()
+        .zip(f1.as_slice())
+        .map(|(a, b)| PairNode([a.x, b.x, a.y, b.y, a.z, b.z, 0.0, 0.0]))
         .collect()
 }
 
 impl BlendedPairSoA {
     /// Pair two timesteps; their grids must agree.
-    pub fn new(f0: &VectorFieldSoA, f1: &VectorFieldSoA, alpha: f32) -> Result<Self> {
+    pub fn new(f0: &VectorField, f1: &VectorField, alpha: f32) -> Result<Self> {
         if f0.dims() != f1.dims() {
             return Err(FieldError::LengthMismatch {
                 expected: f0.dims().point_count(),
@@ -125,7 +123,7 @@ impl BlendedPairSoA {
 
     /// A steady field viewed as a (degenerate) pair: both endpoints are
     /// the same timestep, alpha 0.
-    pub fn steady(f: &VectorFieldSoA) -> Self {
+    pub fn steady(f: &VectorField) -> Self {
         BlendedPairSoA {
             dims: f.dims(),
             nodes: interleave(f, f),
@@ -416,8 +414,8 @@ mod tests {
 
     #[test]
     fn dims_mismatch_rejected() {
-        let a = VectorFieldSoA::zeros(Dims::new(4, 4, 4));
-        let b = VectorFieldSoA::zeros(Dims::new(5, 4, 4));
+        let a = VectorField::zeros(Dims::new(4, 4, 4));
+        let b = VectorField::zeros(Dims::new(5, 4, 4));
         assert!(BlendedPairSoA::new(&a, &b, 0.5).is_err());
     }
 
@@ -426,10 +424,8 @@ mod tests {
         let dims = Dims::new(7, 6, 5);
         let f0 = random_field(dims, 11);
         let f1 = random_field(dims, 22);
-        let s0 = f0.to_soa();
-        let s1 = f1.to_soa();
         for &alpha in &[0.0f32, 0.25, 0.5, 0.99, 1.0] {
-            let pair = BlendedPairSoA::new(&s0, &s1, alpha).unwrap();
+            let pair = BlendedPairSoA::new(&f0, &f1, alpha).unwrap();
             let mut rng = StdRng::seed_from_u64(alpha.to_bits() as u64);
             let pts: Vec<Vec3> = (0..200)
                 .map(|_| {
@@ -450,8 +446,8 @@ mod tests {
             pair.sample_batch_blended(&px, &py, &pz, &mut ox, &mut oy, &mut oz, &mut alive);
             for (i, &p) in pts.iter().enumerate() {
                 assert!(alive[i], "interior point {p:?} must stay alive");
-                let a = s0.sample(p).unwrap();
-                let b = s1.sample(p).unwrap();
+                let a = f0.sample(p).unwrap();
+                let b = f1.sample(p).unwrap();
                 let expect = a.lerp(b, alpha);
                 let got = Vec3::new(ox[i], oy[i], oz[i]);
                 assert_eq!(bits(got), bits(expect), "alpha {alpha} point {p:?}");
@@ -468,10 +464,8 @@ mod tests {
         let dims = Dims::new(6, 6, 6);
         let f0 = random_field(dims, 5);
         let f1 = random_field(dims, 6);
-        let s0 = f0.to_soa();
-        let s1 = f1.to_soa();
         let aos = BlendedPair::new(&f0, &f1, 0.375);
-        let soa = BlendedPairSoA::new(&s0, &s1, 0.375).unwrap();
+        let soa = BlendedPairSoA::new(&f0, &f1, 0.375).unwrap();
         for p in [
             Vec3::new(0.1, 0.2, 0.3),
             Vec3::new(4.9, 2.5, 3.1),
@@ -489,7 +483,7 @@ mod tests {
     #[test]
     fn out_of_domain_clears_alive_and_leaves_output() {
         let dims = Dims::new(4, 4, 4);
-        let f = random_field(dims, 9).to_soa();
+        let f = random_field(dims, 9);
         let pair = BlendedPairSoA::steady(&f);
         let px = [1.0f32, 9.0, 2.0];
         let py = [1.0f32, 1.0, 2.0];
@@ -509,7 +503,7 @@ mod tests {
     #[test]
     fn steady_pair_matches_single_field() {
         let dims = Dims::new(5, 5, 5);
-        let f = random_field(dims, 3).to_soa();
+        let f = random_field(dims, 3);
         let pair = BlendedPairSoA::steady(&f);
         let p = Vec3::new(1.3, 2.7, 0.4);
         // lerp(a, a, 0) may canonicalize -0.0 to +0.0; values here are

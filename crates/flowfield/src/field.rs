@@ -11,7 +11,10 @@
 //!   of particles, standing in for the Convex's 128-entry vector registers.
 //!
 //! Both support trilinear sampling at *fractional grid coordinates* — the
-//! coordinate system all integrations run in (§2.1).
+//! coordinate system all integrations run in (§2.1). The server samples
+//! the AoS field end to end (stores hand out `VectorField`s, and the
+//! streak pair interleaves them directly); the SoA copy exists only for
+//! Table 3's vectorized kernel and the layout ablation.
 
 use crate::{Dims, FieldError, Result};
 use vecmath::Vec3;
@@ -124,7 +127,7 @@ impl VectorField {
         self.data.iter().map(|v| v.length()).fold(0.0f32, f32::max)
     }
 
-    /// Convert to the SoA layout.
+    /// Copy into the SoA layout (Table 3's vectorized kernel).
     pub fn to_soa(&self) -> VectorFieldSoA {
         let n = self.data.len();
         let mut x = Vec::with_capacity(n);

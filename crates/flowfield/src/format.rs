@@ -13,14 +13,13 @@
 //! * `meta.dvwm` — magic `DVWM`, dataset name, dims, timestep count, dt,
 //!   coordinate system.
 //!
-//! All integers and floats are little-endian. Component-planar layout means
-//! the reader can stream each component straight into the SoA field layout
-//! without a transpose.
+//! All integers and floats are little-endian. Readers scatter the
+//! component planes into the AoS [`VectorField`] the whole server samples.
 
 use crate::codec;
 use crate::dataset::{DatasetMeta, VelocityCoords};
 use crate::field::FieldSample;
-use crate::{CurvilinearGrid, Dataset, Dims, FieldError, Result, VectorField, VectorFieldSoA};
+use crate::{CurvilinearGrid, Dataset, Dims, FieldError, Result, VectorField};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::fs::File;
@@ -607,46 +606,6 @@ pub fn v2_chunk_payload_ranges(data: &[u8]) -> Result<Vec<std::ops::Range<usize>
         .collect())
 }
 
-/// Decode an in-memory velocity file straight into the SoA layout,
-/// skipping the AoS detour entirely. For v1 the component-planar file
-/// layout *is* the SoA layout, so this is three straight plane copies;
-/// chunks decompress directly into their plane (in parallel via rayon —
-/// disjoint output ranges per chunk).
-pub fn decode_velocity_soa_into(data: &[u8], into: &mut VectorFieldSoA) -> Result<VelocityHeader> {
-    let (header, payload) = parse_velocity_for(data, into.dims())?;
-    let planes = [&mut into.x, &mut into.y, &mut into.z];
-    let chunks = match payload {
-        Payload::Planes(raw) => {
-            for (comp, plane) in planes.into_iter().enumerate() {
-                plane
-                    .iter_mut()
-                    .zip(raw_plane(raw, comp))
-                    .for_each(|(v, f)| *v = f);
-            }
-            return Ok(header);
-        }
-        Payload::Chunks(chunks) => chunks,
-    };
-    let chunk_values = chunks.first().map_or(1, |d| d.values);
-    let items: Vec<(&ChunkDesc<'_>, &mut [f32])> = chunks
-        .chunks((chunks.len() / 3).max(1))
-        .zip(planes)
-        .flat_map(|(comp, plane)| comp.iter().zip(plane.chunks_mut(chunk_values)))
-        .collect();
-    let results: Vec<Result<()>> = items
-        .into_par_iter()
-        .map(|(d, dst)| d.decode(dst))
-        .collect();
-    results.into_iter().collect::<Result<()>>().map(|()| header)
-}
-
-/// Read one velocity timestep straight into the SoA layout (see
-/// [`decode_velocity_soa_into`]).
-pub fn read_velocity_soa_into(path: &Path, into: &mut VectorFieldSoA) -> Result<VelocityHeader> {
-    let data = std::fs::read(path)?;
-    decode_velocity_soa_into(&data, into)
-}
-
 /// Write one velocity timestep in the chunked compressed container
 /// (version [`DATASET_FORMAT_VERSION`]): the common header, then
 /// `chunk_values`/`chunk_count`, then component-major chunks each tagged
@@ -983,32 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_read_into_and_soa_agree() {
-        let dir = tempdir().unwrap();
-        let path = dir.path().join("q.dvwq");
-        let f = sample_field(-2.0);
-        write_velocity_v2(&path, 3, 1.5, &f).unwrap();
-        let mut aos = VectorField::zeros(f.dims());
-        read_velocity_into(&path, &mut aos).unwrap();
-        assert_eq!(aos, f);
-        let mut soa = VectorFieldSoA::zeros(f.dims());
-        let h = read_velocity_soa_into(&path, &mut soa).unwrap();
-        assert_eq!(h.index, 3);
-        assert_eq!(soa.to_aos(), f);
-    }
-
-    #[test]
-    fn v1_soa_read_matches_aos_read() {
-        let dir = tempdir().unwrap();
-        let path = dir.path().join("q.dvwq");
-        let f = sample_field(0.75);
-        write_velocity(&path, 1, 0.1, &f).unwrap();
-        let mut soa = VectorFieldSoA::zeros(f.dims());
-        read_velocity_soa_into(&path, &mut soa).unwrap();
-        assert_eq!(soa.to_aos(), f);
-    }
-
-    #[test]
     fn v2_spans_multiple_chunks() {
         // > MAX_CHUNK_VALUES points so every component needs 2+ chunks.
         let dims = Dims::new(66, 33, 9); // 19 602 points
@@ -1204,8 +1137,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = read_velocity(&path).unwrap_err();
         assert!(err.to_string().contains("version"), "got: {err}");
-        let mut soa = VectorFieldSoA::zeros(Dims::new(4, 3, 2));
-        assert!(read_velocity_soa_into(&path, &mut soa).is_err());
     }
 
     #[test]

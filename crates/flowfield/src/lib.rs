@@ -11,9 +11,10 @@
 //! The crate provides:
 //!
 //! * [`Dims`] — structured-grid dimensions and index arithmetic,
-//! * [`VectorField`] (array-of-structs) and [`VectorFieldSoA`]
-//!   (structure-of-arrays, the layout the "vectorized" Convex kernel wants)
-//!   with trilinear sampling at fractional grid coordinates,
+//! * [`VectorField`] (array-of-structs, the one layout the server samples)
+//!   and [`VectorFieldSoA`] (structure-of-arrays, the layout Table 3's
+//!   "vectorized" Convex kernel wants) with trilinear sampling at
+//!   fractional grid coordinates,
 //! * [`CurvilinearGrid`] — node positions, grid↔physical mapping and the
 //!   Jacobian machinery that converts physical velocities to
 //!   grid-coordinate velocities (the §2.1 trick that avoids point-location
@@ -25,7 +26,6 @@
 pub mod blend;
 pub mod codec;
 pub mod dataset;
-pub mod decimate;
 pub mod dims;
 pub mod field;
 pub mod format;

@@ -6,16 +6,14 @@
 //! size are limited only by the disk storage space." (§5.1)
 
 use crate::{StoreIoStats, TimestepStore};
-use flowfield::{
-    format, CurvilinearGrid, DatasetMeta, FieldError, Result, VectorField, VectorFieldSoA,
-};
+use flowfield::{format, CurvilinearGrid, DatasetMeta, FieldError, Result, VectorField};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How many recently-returned buffers the recycle bins retain. Playback
+/// How many recently-returned buffers the recycle bin retains. Playback
 /// holds at most a handful of timesteps live (current + blend partner +
 /// a short prefetch window), so a small bin recycles essentially every
 /// steady-state fetch.
@@ -63,9 +61,8 @@ impl<T> Pool<T> {
 /// container version is detected per file, so mixed directories work.
 ///
 /// Fetches route through pooled buffers: the steady-state playback loop
-/// allocates neither the file buffer's `VectorField` nor the SoA planes,
-/// and v2 chunks decode in parallel via rayon inside
-/// [`format::decode_velocity_into`].
+/// allocates no `VectorField`, and v2 chunks decode in parallel via rayon
+/// inside [`format::decode_velocity_into`].
 pub struct DiskStore {
     dir: PathBuf,
     meta: DatasetMeta,
@@ -75,7 +72,6 @@ pub struct DiskStore {
     io_wait_us: AtomicU64,
     decode_us: AtomicU64,
     pool: Pool<VectorField>,
-    soa_pool: Pool<VectorFieldSoA>,
 }
 
 impl DiskStore {
@@ -98,7 +94,6 @@ impl DiskStore {
             io_wait_us: AtomicU64::new(0),
             decode_us: AtomicU64::new(0),
             pool: Pool::new(),
-            soa_pool: Pool::new(),
         })
     }
 
@@ -175,22 +170,6 @@ impl TimestepStore for DiskStore {
         self.check_header(index, header)?;
         let arc = Arc::new(field);
         self.pool.retain(&arc);
-        Ok(arc)
-    }
-
-    fn fetch_soa(&self, index: usize) -> Result<Arc<VectorFieldSoA>> {
-        self.check_range(index)?;
-        let data = self.read_file(index)?;
-        let mut soa = self
-            .soa_pool
-            .take()
-            .unwrap_or_else(|| VectorFieldSoA::zeros(self.meta.dims));
-        let t = Instant::now();
-        let header = format::decode_velocity_soa_into(&data, &mut soa)?;
-        self.decode_us.fetch_add(elapsed_us(t), Ordering::Relaxed);
-        self.check_header(index, header)?;
-        let arc = Arc::new(soa);
-        self.soa_pool.retain(&arc);
         Ok(arc)
     }
 
@@ -299,22 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_soa_matches_aos_on_both_versions() {
-        for v2 in [false, true] {
-            let dir = tempdir().unwrap();
-            if v2 {
-                write_v2_test_dataset(dir.path(), 2);
-            } else {
-                write_test_dataset(dir.path(), 2);
-            }
-            let store = DiskStore::open(dir.path()).unwrap();
-            let aos = store.fetch(1).unwrap();
-            let soa = store.fetch_soa(1).unwrap();
-            assert_eq!(soa.to_aos().as_slice(), aos.as_slice(), "v2={v2}");
-        }
-    }
-
-    #[test]
     fn pooled_buffers_recycle_without_stale_data() {
         let dir = tempdir().unwrap();
         write_test_dataset(dir.path(), 4);
@@ -339,7 +302,7 @@ mod tests {
         write_test_dataset(dir.path(), 2);
         let store = DiskStore::open(dir.path()).unwrap();
         store.fetch(0).unwrap();
-        store.fetch_soa(1).unwrap();
+        store.fetch(1).unwrap();
         let io = store.io_stats();
         assert_eq!(io.prefetch_misses, 2);
     }

@@ -9,7 +9,9 @@
 //! computation, "the timestep required for the next computation is loaded
 //! into a buffer" by a separate process.
 //!
-//! * [`TimestepStore`] — the access abstraction shared by all backends,
+//! * [`TimestepStore`] — the access abstraction shared by all backends;
+//!   every store hands out the AoS [`VectorField`] and its cache owns
+//!   residency (the compute side keeps no copies of its own),
 //! * [`MemoryStore`] — whole dataset resident (the ≤1 GB regime),
 //! * [`DiskStore`] — one file per timestep, read on demand,
 //! * [`CachedStore`] — LRU window over any store (bounds the resident
@@ -132,10 +134,10 @@ pub trait TimestepStore: Send + Sync {
     /// clone.
     fn fetch(&self, index: usize) -> Result<Arc<VectorField>>;
 
-    /// Fetch one timestep in the SoA layout the batched compute kernels
-    /// want. The default converts the AoS fetch; backends that can decode
-    /// straight into SoA ([`DiskStore`] on v2 files) or memoize the
-    /// conversion ([`MemoryStore`]) override it.
+    /// One timestep converted to the SoA layout. No product code calls
+    /// this: the server samples the AoS field end to end. It stays only
+    /// because the end-to-end benchmark's store wrapper implements it
+    /// (and tests that `Arc` forwards it); no backend overrides it.
     fn fetch_soa(&self, index: usize) -> Result<Arc<VectorFieldSoA>> {
         Ok(Arc::new(self.fetch(index)?.to_soa()))
     }

@@ -3,21 +3,13 @@
 //! larger than the workstation's 256 MB).
 
 use crate::TimestepStore;
-use flowfield::{Dataset, DatasetMeta, FieldError, Result, VectorField, VectorFieldSoA};
-use parking_lot::Mutex;
+use flowfield::{Dataset, DatasetMeta, FieldError, Result, VectorField};
 use std::sync::Arc;
-
-/// How many SoA conversions [`MemoryStore::fetch_soa`] memoizes. Unsteady
-/// interpolation touches two adjacent timesteps per tick, so a handful
-/// covers playback plus a little scrubbing slack.
-const SOA_MEMO_CAPACITY: usize = 4;
 
 /// All timesteps held in memory as shared handles.
 pub struct MemoryStore {
     meta: DatasetMeta,
     timesteps: Vec<Arc<VectorField>>,
-    /// Small FIFO memo of SoA conversions, most recent last.
-    soa_memo: Mutex<Vec<(usize, Arc<VectorFieldSoA>)>>,
 }
 
 impl MemoryStore {
@@ -29,11 +21,7 @@ impl MemoryStore {
             .into_iter()
             .map(Arc::new)
             .collect();
-        MemoryStore {
-            meta,
-            timesteps,
-            soa_memo: Mutex::new(Vec::new()),
-        }
+        MemoryStore { meta, timesteps }
     }
 
     /// Build from raw parts.
@@ -45,11 +33,7 @@ impl MemoryStore {
                 timesteps.len()
             )));
         }
-        Ok(MemoryStore {
-            meta,
-            timesteps,
-            soa_memo: Mutex::new(Vec::new()),
-        })
+        Ok(MemoryStore { meta, timesteps })
     }
 
     /// Total bytes of resident velocity data.
@@ -68,26 +52,6 @@ impl TimestepStore for MemoryStore {
             .get(index)
             .cloned()
             .ok_or_else(|| FieldError::Format(format!("timestep {index} out of range")))
-    }
-
-    fn fetch_soa(&self, index: usize) -> Result<Arc<VectorFieldSoA>> {
-        {
-            let memo = self.soa_memo.lock();
-            if let Some((_, soa)) = memo.iter().find(|(i, _)| *i == index) {
-                return Ok(Arc::clone(soa));
-            }
-        }
-        // Convert outside the lock; a racing duplicate conversion is
-        // harmless (both results are identical and immutable).
-        let soa = Arc::new(self.fetch(index)?.to_soa());
-        let mut memo = self.soa_memo.lock();
-        if !memo.iter().any(|(i, _)| *i == index) {
-            if memo.len() >= SOA_MEMO_CAPACITY {
-                memo.remove(0);
-            }
-            memo.push((index, Arc::clone(&soa)));
-        }
-        Ok(soa)
     }
 }
 
@@ -140,22 +104,6 @@ mod tests {
     fn resident_bytes_accounting() {
         let store = MemoryStore::from_dataset(make_dataset(5));
         assert_eq!(store.resident_bytes(), 27 * 12 * 5);
-    }
-
-    #[test]
-    fn fetch_soa_memoizes_and_matches() {
-        let store = MemoryStore::from_dataset(make_dataset(8));
-        let a = store.fetch_soa(3).unwrap();
-        let b = store.fetch_soa(3).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "repeat conversion must be memoized");
-        assert_eq!(a.x[0], 3.0);
-        // Memo is bounded: sweep past capacity, entry 3 gets evicted.
-        for t in 4..8 {
-            store.fetch_soa(t).unwrap();
-        }
-        let c = store.fetch_soa(3).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c), "evicted entry is re-converted");
-        assert_eq!(store.soa_memo.lock().len(), SOA_MEMO_CAPACITY);
     }
 
     #[test]

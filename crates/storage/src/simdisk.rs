@@ -10,7 +10,7 @@
 //! frame rates as a function of disk speed.
 
 use crate::{StoreIoStats, TimestepStore};
-use flowfield::{DatasetMeta, Result, VectorField, VectorFieldSoA};
+use flowfield::{DatasetMeta, Result, VectorField};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -115,10 +115,6 @@ impl<S: TimestepStore> TimestepStore for SimulatedDisk<S> {
 
     fn fetch(&self, index: usize) -> Result<Arc<VectorField>> {
         self.charge(index, || self.inner.fetch(index))
-    }
-
-    fn fetch_soa(&self, index: usize) -> Result<Arc<VectorFieldSoA>> {
-        self.charge(index, || self.inner.fetch_soa(index))
     }
 
     fn payload_bytes(&self, index: usize) -> u64 {

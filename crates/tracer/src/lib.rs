@@ -24,19 +24,16 @@
 //! the [`batch`] kernels; [`benchmark`] packages the exact benchmark
 //! scenario (100 streamlines × 200 points).
 
-pub mod adaptive;
 pub mod batch;
 pub mod benchmark;
 pub mod domain;
 pub mod integrate;
 pub mod isosurface;
-pub mod multizone;
 pub mod pathline;
 pub mod seed;
 pub mod streakline;
 pub mod streamline;
 
-pub use adaptive::{adaptive_streamline, AdaptiveConfig, AdaptiveTrace};
 pub use batch::{
     trace_batch_parallel, trace_batch_physical, trace_batch_scalar, trace_batch_vector,
     trace_batch_vector_parallel,
@@ -44,7 +41,6 @@ pub use batch::{
 pub use domain::Domain;
 pub use integrate::Integrator;
 pub use isosurface::{isosurface, Triangle};
-pub use multizone::{trace_multizone, Zone, ZonedPoint};
 pub use pathline::{pathline, PathlineConfig};
 pub use seed::{Handle, Rake, ToolKind};
 pub use streakline::{AdvanceStats, StagnationPolicy, Streakline, StreaklineConfig};

@@ -892,7 +892,6 @@ mod tests {
         // Zero field + Retire: every particle dies on its first step, so
         // only this frame's injection survives — in both paths.
         let f = VectorField::zeros(Dims::new(8, 8, 8));
-        let soa = f.to_soa();
         let d = Domain::boxed(Dims::new(8, 8, 8));
         let cfg = StreaklineConfig {
             stagnation: StagnationPolicy::Retire,
@@ -900,7 +899,7 @@ mod tests {
         };
         let mut scalar = Streakline::new(vec![Vec3::splat(4.0)], cfg);
         let mut batch = Streakline::new(vec![Vec3::splat(4.0)], cfg);
-        let pair = flowfield::BlendedPairSoA::steady(&soa);
+        let pair = flowfield::BlendedPairSoA::steady(&f);
         for _ in 0..5 {
             scalar.advance(&f, &d);
             batch.advance_batch(&pair, &d);
@@ -912,14 +911,13 @@ mod tests {
     #[test]
     fn batch_advance_matches_scalar_bitwise() {
         let f = uniform_x();
-        let soa = f.to_soa();
         let d = Domain::boxed(f.dims());
         let seeds = vec![Vec3::new(1.0, 2.0, 4.0), Vec3::new(1.0, 6.0, 4.0)];
         let mut scalar = Streakline::new(seeds.clone(), cfg(0.5));
         let mut batch = Streakline::new(seeds, cfg(0.5));
-        let pair = flowfield::BlendedPairSoA::steady(&soa);
+        let pair = flowfield::BlendedPairSoA::steady(&f);
         for _ in 0..6 {
-            scalar.advance(&soa, &d);
+            scalar.advance(&f, &d);
             let stats = batch.advance_batch(&pair, &d);
             assert!(stats.stepped <= scalar.particle_count() as u64 + 2);
         }
@@ -938,7 +936,6 @@ mod tests {
         // Push the pool over PAR_THRESHOLD so the rayon-chunked path
         // runs, and check it against the scalar reference.
         let f = uniform_x();
-        let soa = f.to_soa();
         let d = Domain::boxed(f.dims());
         let seeds: Vec<Vec3> = (0..40)
             .map(|i| Vec3::new(1.0, 1.0 + (i as f32) * 0.12, 4.0))
@@ -950,9 +947,9 @@ mod tests {
         };
         let mut scalar = Streakline::new(seeds.clone(), cfg);
         let mut batch = Streakline::new(seeds, cfg);
-        let pair = flowfield::BlendedPairSoA::steady(&soa);
+        let pair = flowfield::BlendedPairSoA::steady(&f);
         for _ in 0..5 {
-            scalar.advance(&soa, &d);
+            scalar.advance(&f, &d);
             batch.advance_batch(&pair, &d);
         }
         assert!(

@@ -92,8 +92,6 @@ proptest! {
         // Velocities up to ~2 cells/step: plenty of domain exits.
         let f0 = random_field(dims, field_seed, 2.0);
         let f1 = random_field(dims, field_seed.wrapping_add(77), 2.0);
-        let s0 = f0.to_soa();
-        let s1 = f1.to_soa();
         let domain = if o_grid == 1 {
             Domain::o_grid(dims)
         } else {
@@ -116,7 +114,7 @@ proptest! {
         // Reference: scalar stepping through the AoS blend. Fast path:
         // fused batch kernel over the SoA pair. Same alpha, same fields.
         let scalar_pair = BlendedPair::new(&f0, &f1, alpha);
-        let batch_pair = BlendedPairSoA::new(&s0, &s1, alpha).unwrap();
+        let batch_pair = BlendedPairSoA::new(&f0, &f1, alpha).unwrap();
 
         let seeds = random_seeds(dims, field_seed ^ 0xD00D, seed_count);
         let mut scalar = Streakline::new(seeds.clone(), cfg);

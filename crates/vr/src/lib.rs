@@ -22,13 +22,11 @@
 
 pub mod boom;
 pub mod glove;
-pub mod ik;
 pub mod ppm;
 pub mod render;
 pub mod stereo;
 
 pub use boom::{Boom, BoomGeometry, BoomJoint};
 pub use glove::{DataGlove, Gesture, GloveCalibration, GloveReading};
-pub use ik::{solve_position, IkSolution};
 pub use render::{ColorMask, Framebuffer, Rgb};
 pub use stereo::StereoCamera;

@@ -11,7 +11,7 @@
 
 use crate::env::{EnvironmentState, RakeId};
 use crate::proto::{GeometryFrame, PathKind, PathMsg, RakeMsg, UserMsg};
-use flowfield::{BlendedPairSoA, CurvilinearGrid, FieldError, VectorField, VectorFieldSoA};
+use flowfield::{BlendedPairSoA, CurvilinearGrid, FieldError, VectorField};
 use rayon::IntoParallelIterator;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,15 +59,12 @@ pub struct ToolEngines {
     /// streak rake's smoke changes per clock tick even when the rake
     /// itself hasn't moved.
     epoch: u64,
-    /// SoA conversions of store timesteps, keyed by timestep index. Only
-    /// the pair bracketing the current playback time is retained, so at
-    /// most two timesteps are resident in SoA form; during steady
-    /// playback each conversion is paid once and reused every tick.
-    soa_cache: HashMap<usize, Arc<VectorFieldSoA>>,
     /// The node-interleaved blend pair for the bracketing timesteps.
     /// Interleaving copies the whole grid, so it is rebuilt only when
     /// the bracket moves; between timestep crossings a tick just resets
-    /// the blend factor, keeping the per-tick path allocation-free.
+    /// the blend factor, keeping the per-tick path allocation-free. The
+    /// endpoints themselves stay with the store, whose cache owns
+    /// residency.
     pair_cache: Option<((usize, usize), BlendedPairSoA)>,
 }
 
@@ -85,43 +82,6 @@ impl ToolEngines {
         });
     }
 
-    /// The SoA view of one stored timestep, fetched on first use. The
-    /// store's `fetch_soa` fast path lets v2 disk backends decode
-    /// straight into SoA planes instead of converting an AoS copy.
-    fn soa_for(
-        &mut self,
-        store: &dyn TimestepStore,
-        ts: usize,
-    ) -> Result<Arc<VectorFieldSoA>, FieldError> {
-        if let Some(soa) = self.soa_cache.get(&ts) {
-            return Ok(soa.clone());
-        }
-        let soa = store.fetch_soa(ts)?;
-        self.soa_cache.insert(ts, soa.clone());
-        Ok(soa)
-    }
-
-    /// [`ToolEngines::soa_for`] with nearest-healthy substitution: when
-    /// `ts` cannot be served, spiral outward through the dataset and use
-    /// the closest timestep that loads. Returns the field and the index
-    /// actually served; `None` when nothing in the dataset loads.
-    fn soa_near(
-        &mut self,
-        store: &dyn TimestepStore,
-        ts: usize,
-        count: usize,
-    ) -> Option<(Arc<VectorFieldSoA>, usize)> {
-        for cand in substitution_candidates(ts, count) {
-            if let Ok(soa) = self.soa_for(store, cand) {
-                if cand != ts {
-                    self.substituted += 1;
-                }
-                return Some((soa, cand));
-            }
-        }
-        None
-    }
-
     /// Advance all streak systems one step — called exactly once per
     /// time advance, not per client frame request.
     ///
@@ -129,7 +89,7 @@ impl ToolEngines {
     /// playback time: the two bracketing timesteps are blended at the
     /// interpolation factor, so mid-interpolation ticks no longer sample
     /// a single rounded timestep (the fidelity gap the scalar path had).
-    /// Advancing runs the batched SoA path; returns the per-stage
+    /// Advancing runs the batched pair kernel; returns the per-stage
     /// timings summed across all streak rakes.
     pub fn advance_streaks(
         &mut self,
@@ -166,24 +126,23 @@ impl ToolEngines {
             // (h, h) — blending across the gap would interpolate between
             // non-adjacent timesteps, so the blend collapses to a single
             // field (any alpha then samples exactly that field).
-            let Some((f0, s0)) = self.soa_near(store, t0, count) else {
+            let Ok((f0, s0)) = fetch_with_substitution(store, t0) else {
                 // Nothing in the dataset loads: skip this advance and
                 // leave the smoke where it is; the frame path reports
                 // the underlying error.
                 return Ok(total);
             };
-            let (f1, s1) = if t1 == t0 || s0 != t0 {
-                (f0.clone(), s0)
+            if s0 != t0 {
+                self.substituted += 1;
+            }
+            let f1 = if t1 == t0 || s0 != t0 {
+                f0.clone()
             } else {
-                match self.soa_for(store, t1) {
-                    Ok(f1) => (f1, t1),
-                    Err(_) => {
-                        self.substituted += 1;
-                        (f0.clone(), s0)
-                    }
-                }
+                store.fetch(t1).unwrap_or_else(|_| {
+                    self.substituted += 1;
+                    f0.clone()
+                })
             };
-            self.soa_cache.retain(|ts, _| *ts == s0 || *ts == s1);
             self.pair_cache = Some(((t0, t1), BlendedPairSoA::new(&f0, &f1, alpha)?));
         }
         let Some((_, pair)) = &mut self.pair_cache else {
@@ -953,12 +912,12 @@ mod tests {
 
     /// A store that refuses a fixed set of timesteps, as a quarantining
     /// fault-tolerant store would.
-    struct FailingStore {
-        inner: MemoryStore,
+    struct FailingStore<S> {
+        inner: S,
         bad: Vec<usize>,
     }
 
-    impl TimestepStore for FailingStore {
+    impl<S: TimestepStore> TimestepStore for FailingStore<S> {
         fn meta(&self) -> &flowfield::DatasetMeta {
             self.inner.meta()
         }
@@ -1042,6 +1001,82 @@ mod tests {
             .advance_streaks(&env, &store, &domain, &StreaklineConfig::default())
             .unwrap();
         assert_eq!(engines.streak_particles(), 0, "nothing advected");
+    }
+
+    /// Streak smoke advected through a dataset served from memory and
+    /// from disk (v3 files behind the LRU) is the same smoke, bit for
+    /// bit, with the same substitution count — across bracket crossings,
+    /// a mid-bracket blend factor, and a refused timestep.
+    #[test]
+    fn streak_smoke_bit_identical_from_memory_and_disk() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use storage::{CachedStore, DiskStore};
+
+        let (_, grid, domain) = test_store();
+        let dims = grid.dims();
+        let mut rng = StdRng::seed_from_u64(33);
+        let fields = (0..6)
+            .map(|_| {
+                VectorField::from_fn(dims, |_, _, _| {
+                    Vec3::new(
+                        rng.random_range(0.5..1.5),
+                        rng.random_range(-0.3..0.3),
+                        rng.random_range(-0.3..0.3),
+                    )
+                })
+            })
+            .collect();
+        let meta = DatasetMeta {
+            name: "pin".into(),
+            dims,
+            timestep_count: 6,
+            dt: 0.1,
+            coords: VelocityCoords::Grid,
+        };
+        let ds = Dataset::new(meta, grid, fields).unwrap();
+        let tmp = tempfile::tempdir().unwrap();
+        flowfield::format::write_dataset_v2(tmp.path(), &ds).unwrap();
+
+        let smoke = |store: &dyn TimestepStore| {
+            let mut env = EnvironmentState::new(store.timestep_count());
+            let id = env.add_rake(rake(ToolKind::Streakline));
+            env.time.set_rate(0.5);
+            env.time.play();
+            let mut engines = ToolEngines::new();
+            let cfg = StreaklineConfig::default();
+            // Times 0, 0.5, …, 4.5: brackets (0,1) … (4,5), each entered
+            // at alpha 0 and re-blended at alpha 0.5.
+            for _ in 0..10 {
+                engines.advance_streaks(&env, store, &domain, &cfg).unwrap();
+                env.time.advance();
+            }
+            let bits: Vec<Vec<[u32; 3]>> = engines.streaks[&id]
+                .filaments()
+                .iter()
+                .map(|f| {
+                    f.iter()
+                        .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                        .collect()
+                })
+                .collect();
+            (bits, engines.substituted_fetches())
+        };
+        for bad in [vec![], vec![4]] {
+            let memory = FailingStore {
+                inner: MemoryStore::from_dataset(ds.clone()),
+                bad: bad.clone(),
+            };
+            let disk = FailingStore {
+                inner: CachedStore::new(DiskStore::open(tmp.path()).unwrap(), 4),
+                bad: bad.clone(),
+            };
+            let (a, sub_a) = smoke(&memory);
+            let (b, sub_b) = smoke(&disk);
+            assert!(a.iter().map(Vec::len).sum::<usize>() > 0, "smoke advected");
+            assert_eq!(a, b, "filament bits differ (bad {bad:?})");
+            assert_eq!(sub_a, sub_b, "substitution counts differ (bad {bad:?})");
+            assert_eq!(sub_a > 0, !bad.is_empty());
+        }
     }
 
     #[test]

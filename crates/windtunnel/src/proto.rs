@@ -87,6 +87,16 @@ fn put_tool(b: &mut BytesMut, t: ToolKind) {
     });
 }
 
+/// A `u32` flag: 0 or 1, the only values the encoders write (anything
+/// else would decode to a value that re-encodes differently).
+fn get_flag(r: &mut WireReader, what: &str) -> Result<bool> {
+    match r.u32_le()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        n => Err(DlibError::Protocol(format!("bad {what} flag {n}"))),
+    }
+}
+
 fn get_tool(r: &mut WireReader) -> Result<ToolKind> {
     match r.u32_le()? {
         0 => Ok(ToolKind::Streamline),
@@ -342,7 +352,7 @@ impl HelloReply {
                 "protocol version mismatch: server speaks v{version}, this client v{PROTOCOL_VERSION}"
             )));
         }
-        Ok(HelloReply {
+        let hello = HelloReply {
             dataset_name: r.string()?,
             dims: Dims::new(r.u32_le()?, r.u32_le()?, r.u32_le()?),
             timestep_count: r.u32_le()?,
@@ -350,7 +360,11 @@ impl HelloReply {
             bounds_min: get_vec3(&mut r)?,
             bounds_max: get_vec3(&mut r)?,
             user_id: r.u64_le()?,
-        })
+        };
+        if r.remaining() != 0 {
+            return Err(DlibError::Protocol("trailing bytes after hello".into()));
+        }
+        Ok(hello)
     }
 }
 
@@ -591,7 +605,7 @@ impl FrameRequest {
     pub fn decode(buf: &[u8]) -> Result<FrameRequest> {
         let mut r = WireReader::new(buf);
         let req = FrameRequest {
-            advance: r.u32_le()? != 0,
+            advance: get_flag(&mut r, "advance")?,
         };
         if r.remaining() != 0 {
             return Err(DlibError::Protocol(
@@ -625,7 +639,7 @@ impl DeltaRequest {
     pub fn decode(buf: &[u8]) -> Result<DeltaRequest> {
         let mut r = WireReader::new(buf);
         let req = DeltaRequest {
-            advance: r.u32_le()? != 0,
+            advance: get_flag(&mut r, "advance")?,
             baseline: r.u64_le()?,
         };
         if r.remaining() != 0 {
@@ -1523,6 +1537,51 @@ mod tests {
         .to_vec();
         bytes.push(0);
         assert!(DeltaRequest::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn non_canonical_advance_flag_and_hello_tail_rejected_by_name() {
+        let named = |e: DlibError, what: &str| {
+            assert!(
+                matches!(&e, DlibError::Protocol(m) if m.contains(what)),
+                "{e:?}"
+            );
+        };
+        // `advance` is written as 0 or 1; a 2 would decode to `true` and
+        // re-encode as 1.
+        let mut frame = FrameRequest { advance: true }.encode().to_vec();
+        frame[0] = 2;
+        named(
+            FrameRequest::decode(&frame).unwrap_err(),
+            "bad advance flag 2",
+        );
+        let mut delta = DeltaRequest {
+            advance: false,
+            baseline: 9,
+        }
+        .encode()
+        .to_vec();
+        delta[3] = 0x80;
+        named(
+            DeltaRequest::decode(&delta).unwrap_err(),
+            "bad advance flag",
+        );
+        let mut hello = HelloReply {
+            dataset_name: "x".into(),
+            dims: Dims::new(2, 2, 2),
+            timestep_count: 1,
+            dt: 0.1,
+            bounds_min: Vec3::ZERO,
+            bounds_max: Vec3::ONE,
+            user_id: 1,
+        }
+        .encode()
+        .to_vec();
+        hello.push(0);
+        named(
+            HelloReply::decode(&hello).unwrap_err(),
+            "trailing bytes after hello",
+        );
     }
 
     #[test]

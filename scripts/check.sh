@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Full pre-merge check: formatting, release build, tests, warning-free
-# clippy, and a smoke run of the bench harnesses (--quick: scaled-down
-# workloads, nothing written, so recorded BENCH_*.json stay untouched).
+# clippy, the seeded chaos and equality passes, the golden images, and a
+# --quick smoke of the end-to-end benchmark (scaled-down workloads).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -35,9 +35,10 @@ RUST_BACKTRACE=1 cargo test -q --test chaos_resync
 # timestep) under live looped playback; recovery counters must match the
 # injected schedule exactly and a clean disk must report all zeros.
 PROPTEST_CASES=32 RUST_BACKTRACE=1 cargo test -q --test disk_chaos
-cargo run --release -p dvw-bench --bin bench_trace -- --quick
 # Scalar-vs-batch streakline bitwise equality under a pinned case count
-# (the batch kernel is only as good as this proptest says it is).
+# (the batch kernel, and the blend pair it interleaves straight from the
+# AoS timesteps, are only as good as this proptest says they are). Once
+# at the default seed here, once at the fresh seed below.
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test streak_equiv
 # The one-sweep streamline kernel (k1 reuse, grid->physical map fused
 # into the velocity sample) bit-identical to the verbatim trace-then-map oracle,
@@ -52,15 +53,18 @@ PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --te
 # Wire point codec: bit-exact round trip on arbitrary bit patterns, equal
 # to its straight-line reference encoder, inside its size bounds, canonical,
 # and a named error on every truncation or malformed byte; then bit flips in
-# traced frames (full, keyframe, delta) rejected or re-encoded exactly. Once
-# at the default seed, once at a fresh one (echoed, so a failure replays).
+# traced frames (full, keyframe, delta) and bit flips or an appended byte in
+# every command, frame/delta request and hello reply, rejected or
+# re-encoded exactly. Once at the default seed, once at a fresh one
+# (echoed, so a failure replays).
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 seed=$(date +%s%N)
-echo "wire and field codecs: fresh PROPTEST_SEED=$seed"
+echo "wire and field codecs, streak pair: fresh PROPTEST_SEED=$seed"
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --test codec_roundtrip
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
+PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test streak_equiv
 # Renderer: the concurrent two-eye anaglyph (and the client's display path
 # over borrowed paths) bit-identical to the sequential oracle, every
 # colour byte and Z bit; then the committed golden PPMs (six from

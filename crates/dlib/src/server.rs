@@ -24,7 +24,9 @@
 //!   release rake grabs and delta baselines held by dead clients,
 //! * a malformed or oversized frame closes *only* the offending
 //!   connection, with the reason logged; the dispatcher and every other
-//!   session keep serving.
+//!   session keep serving,
+//! * a panicking procedure answers its caller with `Status::Error` and the
+//!   dispatcher keeps serving; a panicking idle hook just returns.
 //!
 //! [`Status::Busy`]: crate::message::Status::Busy
 
@@ -32,8 +34,10 @@ use crate::message::{Call, Payload, Reply, Status};
 use crate::wire::FrameAccumulator;
 use crate::{DlibError, Result};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -133,11 +137,14 @@ pub type Procedure<S> =
 
 type EventHook<S> = Box<dyn FnMut(&mut S, Session, SessionEvent) + Send>;
 
-/// Server under construction: state + procedure registry + lifecycle hook.
+type IdleHook<S> = Box<dyn FnMut(&mut S, &dyn Fn() -> bool) + Send>;
+
+/// Server under construction: state + procedure registry + hooks.
 pub struct DlibServer<S> {
     state: S,
     procedures: HashMap<u32, Procedure<S>>,
     event_hook: Option<EventHook<S>>,
+    idle_hook: Option<IdleHook<S>>,
 }
 
 enum Job {
@@ -158,6 +165,7 @@ impl<S: Send + 'static> DlibServer<S> {
             state,
             procedures: HashMap::new(),
             event_hook: None,
+            idle_hook: None,
         }
     }
 
@@ -190,6 +198,18 @@ impl<S: Send + 'static> DlibServer<S> {
         self
     }
 
+    /// Register the idle hook: it runs like a procedure, after a *call's*
+    /// reply has gone to its writer and the queue was found empty (never
+    /// after an event). `pending()` turns true once a job is queued, and
+    /// that job is served next, so arrival order is unchanged.
+    pub fn on_idle<F>(&mut self, f: F) -> &mut Self
+    where
+        F: FnMut(&mut S, &dyn Fn() -> bool) + Send + 'static,
+    {
+        self.idle_hook = Some(Box::new(f));
+        self
+    }
+
     /// Bind and start serving with default configuration; returns a
     /// handle with the bound address. Pass `"127.0.0.1:0"` to let the OS
     /// choose a port.
@@ -209,35 +229,55 @@ impl<S: Send + 'static> DlibServer<S> {
         let mut state = self.state;
         let procedures = self.procedures;
         let mut event_hook = self.event_hook;
+        let mut idle_hook = self.idle_hook;
         let dispatcher = std::thread::Builder::new()
             .name("dlib-dispatch".into())
             .spawn(move || {
-                while let Ok(job) = job_rx.recv() {
-                    match job {
+                // A job taken off the queue while looking for idle time.
+                let mut peeked = None;
+                while let Some(job) = peeked.take().or_else(|| job_rx.recv().ok()) {
+                    let (session, call, reply_tx) = match job {
                         Job::Call {
                             session,
                             call,
                             reply_tx,
-                        } => {
-                            let reply = match procedures.get(&call.procedure) {
-                                Some(proc_fn) => match proc_fn(&mut state, session, &call.args) {
-                                    Ok(payload) => Reply::ok(call.seq, payload),
-                                    Err(msg) => Reply::error(call.seq, &msg),
-                                },
-                                None => Reply {
-                                    status: Status::UnknownProcedure,
-                                    ..Reply::busy(call.seq)
-                                },
-                            };
-                            // A dead connection just drops its replies.
-                            let _ = reply_tx.send(reply);
-                        }
+                        } => (session, call, reply_tx),
                         Job::Event { session, event } => {
                             if let Some(hook) = event_hook.as_mut() {
                                 hook(&mut state, session, event);
                             }
+                            continue;
                         }
+                    };
+                    let reply = match procedures.get(&call.procedure) {
+                        Some(proc_fn) => match catch_unwind(AssertUnwindSafe(|| {
+                            proc_fn(&mut state, session, &call.args)
+                        })) {
+                            Ok(Ok(payload)) => Reply::ok(call.seq, payload),
+                            Ok(Err(msg)) => Reply::error(call.seq, &msg),
+                            Err(_) => Reply::error(
+                                call.seq,
+                                &format!("procedure {:#x} panicked", call.procedure),
+                            ),
+                        },
+                        None => Reply {
+                            status: Status::UnknownProcedure,
+                            ..Reply::busy(call.seq)
+                        },
+                    };
+                    // A dead connection just drops its replies.
+                    let _ = reply_tx.send(reply);
+                    let next = Cell::new(None);
+                    let pending = || {
+                        let job = next.take().or_else(|| job_rx.try_recv().ok());
+                        let queued = job.is_some();
+                        next.set(job);
+                        queued
+                    };
+                    if let (Some(hook), false) = (idle_hook.as_mut(), pending()) {
+                        let _ = catch_unwind(AssertUnwindSafe(|| hook(&mut state, &pending)));
                     }
+                    peeked = next.into_inner();
                 }
             })?;
 
@@ -959,6 +999,177 @@ mod tests {
         let entries = log.lock().clone();
         assert_eq!(entries.last().map(String::as_str), Some("gone"));
         assert_eq!(entries.len(), 6);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn panicking_procedure_answers_error_and_dispatcher_keeps_serving() {
+        const PROC_PANIC: u32 = 7;
+        let events: Events = Arc::default();
+        let sink = Arc::clone(&events);
+        let idle_runs = Arc::new(AtomicU64::new(0));
+        let idle_count = Arc::clone(&idle_runs);
+        let mut server = DlibServer::new(0u32);
+        server.register(PROC_PANIC, |calls, _, _| {
+            *calls += 1;
+            if *calls == 1 {
+                panic!("deliberate panic in a procedure");
+            }
+            Ok(Bytes::from_static(b"fine"))
+        });
+        server.on_idle(move |_, _| {
+            idle_count.fetch_add(1, Ordering::SeqCst);
+            panic!("deliberate panic in the idle hook");
+        });
+        server.on_session_event(move |_, session, event| {
+            sink.lock().push((session.client_id, event));
+        });
+        let handle = server.serve("127.0.0.1:0").unwrap();
+        let mut first = DlibClient::connect(handle.addr()).unwrap();
+        assert!(matches!(
+            first.call(PROC_PANIC, b""),
+            Err(DlibError::Remote(m)) if m == "procedure 0x7 panicked"
+        ));
+        let mut second = DlibClient::connect(handle.addr()).unwrap();
+        assert_eq!(&second.call(PROC_PANIC, b"").unwrap()[..], b"fine");
+        assert_eq!(&first.call(PROC_PANIC, b"").unwrap()[..], b"fine");
+        drop((first, second));
+        let disconnects = |id: u64| {
+            let log = events.lock();
+            let of = |want: fn(&SessionEvent) -> bool| {
+                log.iter().filter(|(c, e)| *c == id && want(e)).count()
+            };
+            (
+                of(|e| *e == SessionEvent::Connected),
+                of(|e| matches!(e, SessionEvent::Disconnected(_))),
+            )
+        };
+        wait_for("both disconnects", || {
+            disconnects(1).1 == 1 && disconnects(2).1 == 1
+        });
+        // Nothing more arrives: exactly one of each per connection.
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!((disconnects(1), disconnects(2)), ((1, 1), (1, 1)));
+        assert!(idle_runs.load(Ordering::SeqCst) >= 1, "the hook panicked");
+        handle.shutdown();
+    }
+
+    /// Idle-hook test server: every append, idle run and event lands in
+    /// one shared log; an append logs itself, then parks until `gate`
+    /// opens.
+    fn idle_log_server(
+        gate: Arc<AtomicBool>,
+        config: ServerConfig,
+        on_idle: impl Fn(&Mutex<Vec<String>>, &dyn Fn() -> bool) + Send + 'static,
+    ) -> (ServerHandle, Arc<Mutex<Vec<String>>>) {
+        let log: Arc<Mutex<Vec<String>>> = Arc::default();
+        let (call_log, idle_log, event_log) = (log.clone(), log.clone(), log.clone());
+        let mut server = DlibServer::new(());
+        server.register(PROC_APPEND, move |_, _, args| {
+            call_log
+                .lock()
+                .push(String::from_utf8_lossy(args).into_owned());
+            while !gate.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Ok(Bytes::new())
+        });
+        server.on_idle(move |_, pending| on_idle(&idle_log, pending));
+        server.on_session_event(move |_, _, event| {
+            let name = match event {
+                SessionEvent::Connected => "connected",
+                SessionEvent::Disconnected(_) => "gone",
+            };
+            event_log.lock().push(name.into());
+        });
+        (server.serve_with("127.0.0.1:0", config).unwrap(), log)
+    }
+
+    #[test]
+    fn idle_hook_waits_for_an_empty_queue_and_never_follows_an_event() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let shed = Arc::new(AtomicU64::new(0));
+        let config = ServerConfig {
+            queue_capacity: 3,
+            shed_counter: Arc::clone(&shed),
+            ..ServerConfig::default()
+        };
+        let (handle, log) = idle_log_server(Arc::clone(&gate), config, |log, _| {
+            log.lock().push("idle".into());
+        });
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        wait_for("connected", || log.lock().len() == 1);
+        let send = |raw: &mut TcpStream, seq: u64| {
+            let call = Call {
+                seq,
+                procedure: PROC_APPEND,
+                args: Bytes::from(format!("c{seq}").into_bytes()),
+            };
+            write_frame(raw, &call.encode()).unwrap();
+        };
+        // c1 parks the dispatcher; c2..c4 fill the three queue slots, so
+        // c5 is shed, which proves the three are queued.
+        send(&mut raw, 1);
+        wait_for("dispatcher parked", || log.lock().len() == 2);
+        for seq in 2..=5 {
+            send(&mut raw, seq);
+        }
+        wait_for("c5 shed", || shed.load(Ordering::SeqCst) == 1);
+        gate.store(true, Ordering::SeqCst);
+        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+        for _ in 0..5 {
+            crate::wire::read_frame(&mut reader).unwrap();
+        }
+        wait_for("idle run", || log.lock().iter().any(|s| s == "idle"));
+        drop((reader, raw));
+        wait_for("disconnect", || log.lock().iter().any(|s| s == "gone"));
+        let entries = log.lock().clone();
+        assert_eq!(
+            entries,
+            ["connected", "c1", "c2", "c3", "c4", "idle", "gone"],
+            "one idle run, after the queue drained, none after events"
+        );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn call_arriving_during_idle_flips_pending_and_is_served_in_order() {
+        let open = Arc::new(AtomicBool::new(true));
+        let (handle, log) = idle_log_server(open, ServerConfig::default(), |log, pending| {
+            log.lock().push("idle".into());
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !pending() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // pending() stays true until the job it saw is served.
+            let seen = pending() && pending();
+            log.lock()
+                .push(if seen { "pending" } else { "timeout" }.into());
+        });
+        let idle_runs = || log.lock().iter().filter(|s| *s == "idle").count();
+        let mut c = DlibClient::connect(handle.addr()).unwrap();
+        // Each next job is sent only once the hook is running, so it is
+        // the hook that must notice it.
+        c.call(PROC_APPEND, b"a").unwrap();
+        wait_for("first idle run", || idle_runs() == 1);
+        c.call(PROC_APPEND, b"b").unwrap();
+        wait_for("second idle run", || idle_runs() == 2);
+        drop(c);
+        wait_for("disconnect", || log.lock().iter().any(|s| s == "gone"));
+        let entries = log.lock().clone();
+        assert_eq!(
+            entries,
+            [
+                "connected",
+                "a",
+                "idle",
+                "pending",
+                "b",
+                "idle",
+                "pending",
+                "gone"
+            ],
+        );
         handle.shutdown();
     }
 }

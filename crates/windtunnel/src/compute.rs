@@ -318,6 +318,16 @@ struct CacheEntry {
     stamp: u64,
 }
 
+/// Streamline paths traced ahead for the next playback frame
+/// (DESIGN.md §6.11): the timestep asked for, the field and timestep
+/// served, the fetch µs, and per rake its next-frame key, paths and µs.
+struct AheadSlot {
+    timestep: usize,
+    fetched: (Arc<VectorField>, usize),
+    fetch_us: u64,
+    rakes: Vec<(RakeId, GeomKey, Vec<PathMsg>, u64)>,
+}
+
 /// Per-rake cache of computed wire geometry, layered beneath the
 /// server's per-rake cache of encoded chunks. A mutation that touches one
 /// rake — or none, like a head-pose update — re-traces only what
@@ -328,6 +338,8 @@ pub struct GeometryCache {
     next_stamp: u64,
     hits: u64,
     misses: u64,
+    /// Emptied by every [`update_geometry`], adopted or not.
+    ahead: Option<AheadSlot>,
 }
 
 impl GeometryCache {
@@ -359,6 +371,54 @@ impl GeometryCache {
             .flat_map(|cached| cached.paths.iter().cloned())
             .collect()
     }
+
+    /// Trace `env`'s streamline rakes for the timestep its clock reaches
+    /// at the next tick, keyed by the [`GeomKey`] that frame will compute
+    /// under `cfg`. A clock that will not move, no streamline rake or a
+    /// failed fetch leaves no slot; `pending` is polled before the fetch
+    /// and each rake. Returns the rakes traced.
+    pub fn trace_ahead(
+        &mut self,
+        env: &EnvironmentState,
+        store: &dyn TimestepStore,
+        grid: &CurvilinearGrid,
+        domain: &Domain,
+        cfg: &ComputeConfig,
+        pending: &dyn Fn() -> bool,
+    ) -> u64 {
+        let mut clock = env.time;
+        let timestep = clock.advance();
+        let mut streamlines = env
+            .rakes()
+            .filter(|(_, e)| e.rake.tool == ToolKind::Streamline)
+            .peekable();
+        if timestep == env.time.timestep() || streamlines.peek().is_none() || pending() {
+            return 0;
+        }
+        let fetch_started = Instant::now();
+        let Ok(fetched) = fetch_with_substitution(store, timestep) else {
+            return 0;
+        };
+        let fetch_us = fetch_started.elapsed().as_micros() as u64;
+        let mut rakes = Vec::new();
+        for (id, entry) in streamlines {
+            if pending() {
+                break;
+            }
+            let key = geom_key(entry.geom_rev(), fetched.1, ToolKind::Streamline, cfg, 0);
+            let seeds = entry.rake.seeds();
+            let (paths, us) = trace_streamlines(&fetched.0, grid, domain, id, &seeds, &cfg.trace);
+            rakes.push((id, key, paths, us));
+        }
+        let traced = rakes.len() as u64;
+        self.ahead = Some(AheadSlot {
+            timestep,
+            fetched,
+            fetch_us,
+            rakes,
+        });
+        traced
+    }
 }
 
 /// Timings and cache counters from one [`compute_frame_cached`] call.
@@ -380,6 +440,33 @@ pub struct FrameComputeStats {
     /// 1 when the frame's field was served by a substituted neighbouring
     /// timestep because the requested one could not be read.
     pub substituted_fetches: u32,
+    /// Misses served by paths traced ahead; counted in `geom_misses` too,
+    /// and their trace time in `integrate_us`.
+    pub ahead_adopted: u32,
+    /// Fetch and trace microseconds the adopted ahead work took.
+    pub ahead_us: u64,
+}
+
+/// One streamline rake traced in `field` with the production kernel:
+/// its wire paths and the trace's microseconds.
+fn trace_streamlines(
+    field: &VectorField,
+    grid: &CurvilinearGrid,
+    domain: &Domain,
+    id: RakeId,
+    seeds: &[Vec3],
+    trace: &TraceConfig,
+) -> (Vec<PathMsg>, u64) {
+    let t0 = Instant::now();
+    let paths = trace_batch_physical(field, grid, domain, seeds, trace)
+        .into_iter()
+        .map(|points| PathMsg {
+            rake_id: id,
+            kind: PathKind::Streamline,
+            points,
+        })
+        .collect();
+    (paths, t0.elapsed().as_micros() as u64)
 }
 
 /// One cache miss queued for re-tracing: rake id, the new cache key,
@@ -405,9 +492,17 @@ pub fn update_geometry(
 ) -> Result<(GeometryFrame, FrameComputeStats), FieldError> {
     let mut stats = FrameComputeStats::default();
     let timestep = env.time.timestep();
+    // Paths traced ahead for this timestep bring their field: no refetch.
+    let mut ahead = cache.ahead.take().filter(|a| a.timestep == timestep);
     let fetch_started = Instant::now();
-    let (field, served) = fetch_with_substitution(store, timestep)?;
+    let (field, served) = match &ahead {
+        Some(a) => a.fetched.clone(),
+        None => fetch_with_substitution(store, timestep)?,
+    };
     stats.fetch_us = fetch_started.elapsed().as_micros() as u64;
+    if let Some(a) = &ahead {
+        (stats.fetch_us, stats.ahead_us) = (a.fetch_us, a.fetch_us);
+    }
     if served != timestep {
         stats.substituted_fetches = 1;
     }
@@ -418,6 +513,7 @@ pub fn update_geometry(
     let streak_epoch = engines.epoch;
     let mut rakes = Vec::new();
     let mut misses: Vec<GeomMiss> = Vec::new();
+    let mut adopted = Vec::new();
     for (id, entry) in env.rakes() {
         let rake = &entry.rake;
         // Rake state for client rendering (physical endpoints; endpoints
@@ -447,6 +543,16 @@ pub fn update_geometry(
             Some(cached) if cached.key == key => stats.geom_hits += 1,
             _ => {
                 stats.geom_misses += 1;
+                let traced_ahead = ahead.as_mut().and_then(|a| {
+                    let i = a.rakes.iter().position(|r| r.0 == id && r.1 == key)?;
+                    Some(a.rakes.swap_remove(i))
+                });
+                if let Some((_, _, paths, us)) = traced_ahead {
+                    stats.ahead_adopted += 1;
+                    stats.ahead_us += us;
+                    adopted.push(Ok((id, key, paths, us, 0)));
+                    continue;
+                }
                 // Streak filaments are extracted here, before the
                 // parallel fan-out: the pull is a cheap sorted copy out
                 // of the particle pool (into reusable scratch), and the
@@ -481,18 +587,8 @@ pub fn update_geometry(
             let mut paths = Vec::new();
             match tool {
                 ToolKind::Streamline => {
-                    let t0 = Instant::now();
-                    let lines =
-                        trace_batch_physical(field.as_ref(), grid, domain, &seeds, &cfg.trace);
-                    integrate_us += t0.elapsed().as_micros() as u64;
-                    paths = lines
-                        .into_iter()
-                        .map(|points| PathMsg {
-                            rake_id: id,
-                            kind: PathKind::Streamline,
-                            points,
-                        })
-                        .collect();
+                    (paths, integrate_us) =
+                        trace_streamlines(&field, grid, domain, id, &seeds, &cfg.trace);
                 }
                 ToolKind::ParticlePath => {
                     for seed in seeds {
@@ -541,7 +637,7 @@ pub fn update_geometry(
             Ok((id, key, paths, integrate_us, map_us))
         })
         .collect();
-    for result in traced {
+    for result in adopted.into_iter().chain(traced) {
         let (id, key, paths, integrate_us, map_us) = result?;
         stats.integrate_us += integrate_us;
         stats.map_us += map_us;

@@ -971,6 +971,12 @@ pub struct FrameStats {
     /// Lifetime frame/streak fetches served by a substituted neighbouring
     /// timestep instead of the requested (unreadable) one.
     pub cum_substituted_fetches: u64,
+    /// Lifetime streamline rakes traced ahead in the dispatcher's idle
+    /// time for the next playback frame.
+    pub cum_ahead_traced: u64,
+    /// Lifetime rakes traced ahead that the next frame adopted; the rest
+    /// of `cum_ahead_traced` was wasted speculation.
+    pub cum_ahead_adopted: u64,
 }
 
 impl FrameStats {
@@ -1010,6 +1016,8 @@ impl FrameStats {
         b.put_u64_le_(self.cum_zero_filled_chunks);
         b.put_u64_le_(self.cum_quarantined_steps);
         b.put_u64_le_(self.cum_substituted_fetches);
+        b.put_u64_le_(self.cum_ahead_traced);
+        b.put_u64_le_(self.cum_ahead_adopted);
         b.freeze()
     }
 
@@ -1050,6 +1058,8 @@ impl FrameStats {
             cum_zero_filled_chunks: r.u64_le()?,
             cum_quarantined_steps: r.u64_le()?,
             cum_substituted_fetches: r.u64_le()?,
+            cum_ahead_traced: r.u64_le()?,
+            cum_ahead_adopted: r.u64_le()?,
         };
         if r.remaining() != 0 {
             return Err(DlibError::Protocol("trailing bytes after stats".into()));
@@ -1709,6 +1719,8 @@ mod tests {
             cum_zero_filled_chunks: 1,
             cum_quarantined_steps: 1,
             cum_substituted_fetches: 9,
+            cum_ahead_traced: 14,
+            cum_ahead_adopted: 13,
         };
         assert_eq!(FrameStats::decode(&s.encode()).unwrap(), s);
         assert_eq!(s.total_us(), 5_025);

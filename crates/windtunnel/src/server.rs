@@ -122,6 +122,9 @@ struct ServerState {
     shed_counter: Arc<AtomicU64>,
     /// How much of `shed_counter` the governor has already reacted to.
     shed_seen: u64,
+    /// The revision a compute-bound advancing frame just computed; idle
+    /// time traces the next frame if nothing changed since (§6.11).
+    ahead_armed: Option<u64>,
 }
 
 impl ServerState {
@@ -156,6 +159,7 @@ impl ServerState {
             cum_substituted: 0,
             shed_counter,
             shed_seen: 0,
+            ahead_armed: None,
         }
     }
 
@@ -249,9 +253,10 @@ impl ServerState {
         // Tell the store which way the clock is running so a prefetching
         // backend aims its read-ahead before the stride is observable —
         // including the instant playback reverses.
-        if self.env.time.is_playing() {
-            self.store
-                .hint_direction(self.env.time.rate().signum() as i64);
+        // A clock at rate 0 (either sign) is not moving: no hint.
+        let rate = self.env.time.rate();
+        if self.env.time.is_playing() && rate != 0.0 {
+            self.store.hint_direction(rate.signum() as i64);
         }
         self.env.time.advance();
         // Streaklines advance once per clock tick, in the field at the
@@ -294,14 +299,7 @@ impl ServerState {
         if self.frame.as_ref().map(|f| f.revision) == Some(revision) {
             return Ok(false);
         }
-        // The governor scales the streamline point budget before the
-        // compute, then observes the measured time after the reply is
-        // encoded.
-        let mut cfg = self.opts.compute;
-        if let Some(gov) = &self.governor {
-            cfg.trace.max_points = gov.scaled_points(cfg.trace.max_points);
-            cfg.pathline_window = gov.scaled_points(cfg.pathline_window);
-        }
+        let cfg = self.frame_config();
         let started = Instant::now();
         let (frame, cstats) = update_geometry(
             &self.env,
@@ -313,8 +311,10 @@ impl ServerState {
             &cfg,
         )
         .map_err(|e| e.to_string())?;
-        self.compute_elapsed = started.elapsed();
+        // Adopted paths were traced in idle time: the governor sees it.
+        self.compute_elapsed = started.elapsed() + Duration::from_micros(cstats.ahead_us);
         self.cum_substituted += u64::from(cstats.substituted_fetches);
+        self.stats.cum_ahead_adopted += u64::from(cstats.ahead_adopted);
         let (cum_geom_hits, cum_geom_misses) = self.geom_cache.cumulative();
         self.stats = FrameStats {
             revision,
@@ -332,6 +332,46 @@ impl ServerState {
         };
         self.frame = Some(frame);
         Ok(true)
+    }
+
+    /// The frame's compute configuration: the governor scales the point
+    /// budgets before the compute and observes the time after the encode.
+    fn frame_config(&self) -> ComputeConfig {
+        let mut cfg = self.opts.compute;
+        if let Some(gov) = &self.governor {
+            cfg.trace.max_points = gov.scaled_points(cfg.trace.max_points);
+            cfg.pathline_window = gov.scaled_points(cfg.pathline_window);
+        }
+        cfg
+    }
+
+    /// Idle hook: after a compute-bound advancing frame, trace the next
+    /// tick's streamlines (streaks advance *with* it; pathlines need a window).
+    fn idle(&mut self, pending: &dyn Fn() -> bool) {
+        if self.ahead_armed.take() == Some(self.env.revision()) {
+            let cfg = self.frame_config();
+            let (store, grid, domain) = (self.store.as_ref(), &self.grid, &self.domain);
+            self.stats.cum_ahead_traced += self
+                .geom_cache
+                .trace_ahead(&self.env, store, grid, domain, &cfg, pending);
+        }
+    }
+
+    /// The frame RPCs' common front: shedding, the clock, the frame and
+    /// its chunks. Returns whether the frame was freshly computed.
+    fn prepare(&mut self, advance: bool) -> Result<bool, String> {
+        self.ahead_armed = None;
+        self.note_shedding();
+        self.tick(advance)?;
+        self.stats.cum_frames += 1;
+        let fresh = self.refresh_frame()?;
+        self.refresh_chunks();
+        // A frame that waited on the store longer than it traced is
+        // store-bound: fetching ahead cannot shorten it (§6.11).
+        if advance && fresh && self.stats.integrate_us > self.stats.fetch_us {
+            self.ahead_armed = Some(self.env.revision());
+        }
+        Ok(fresh)
     }
 
     /// Bring the broadcast chunk cache up to date with the current frame:
@@ -419,11 +459,7 @@ impl ServerState {
     }
 
     fn frame_bytes(&mut self, advance: bool) -> Result<Payload, String> {
-        self.note_shedding();
-        self.tick(advance)?;
-        self.stats.cum_frames += 1;
-        let fresh = self.refresh_frame()?;
-        self.refresh_chunks();
+        let fresh = self.prepare(advance)?;
         let assemble_started = Instant::now();
         let Some(frame) = self.frame.as_ref() else {
             return Err("no frame computed yet".into());
@@ -442,12 +478,8 @@ impl ServerState {
     }
 
     fn delta_bytes(&mut self, client: UserId, req: DeltaRequest) -> Result<Payload, String> {
-        self.note_shedding();
-        self.tick(req.advance)?;
+        let fresh = self.prepare(req.advance)?;
         let revision = self.env.revision();
-        self.stats.cum_frames += 1;
-        let fresh = self.refresh_frame()?;
-        self.refresh_chunks();
 
         let assemble_started = Instant::now();
         let sess = self.sessions.entry(client).or_default();
@@ -547,6 +579,7 @@ pub fn serve(
 
     let mut server = DlibServer::new(state);
     server.on_session_event(|state, session, event| state.session_event(session, event));
+    server.on_idle(|state, pending| state.idle(pending));
     server.register(PROC_HELLO, move |state, session: Session, _args| {
         // Joining announces presence (head pose arrives later).
         state.env.update_user(session.client_id, Pose::IDENTITY);
@@ -599,7 +632,8 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowfield::{dataset::VelocityCoords, Dataset, DatasetMeta, Dims, VectorField};
+    use flowfield::{dataset::VelocityCoords, Dataset, DatasetMeta, Dims, FieldError, VectorField};
+    use parking_lot::Mutex;
     use storage::MemoryStore;
     use tracer::ToolKind;
     use vecmath::{Aabb, Vec3};
@@ -670,5 +704,315 @@ mod tests {
         let typed = crate::proto::DeltaFrame::decode(&to_a.clone().into_bytes()).unwrap();
         assert_eq!(typed.encode(), to_a.into_bytes());
         assert_eq!(typed.chunks.len(), 2);
+    }
+
+    // ---- the frame ahead (DESIGN.md §6.11) ------------------------------
+
+    const STEPS: usize = 6;
+
+    /// A memory store whose field changes with the timestep, logging
+    /// every fetch and direction hint it receives.
+    struct LoggingStore {
+        inner: MemoryStore,
+        fetches: Mutex<Vec<usize>>,
+        hints: Mutex<Vec<i64>>,
+        /// Simulated disk latency per fetch, milliseconds.
+        latency_ms: AtomicU64,
+    }
+
+    impl TimestepStore for LoggingStore {
+        fn meta(&self) -> &DatasetMeta {
+            self.inner.meta()
+        }
+        fn fetch(&self, index: usize) -> Result<Arc<VectorField>, FieldError> {
+            self.fetches.lock().push(index);
+            let latency = self.latency_ms.load(std::sync::atomic::Ordering::Relaxed);
+            #[allow(clippy::disallowed_methods)] // simulated disk latency
+            std::thread::sleep(Duration::from_millis(latency));
+            self.inner.fetch(index)
+        }
+        fn hint_direction(&self, direction: i64) {
+            self.hints.lock().push(direction);
+        }
+    }
+
+    fn unsteady_store() -> (Arc<LoggingStore>, CurvilinearGrid) {
+        let dims = Dims::new(16, 9, 9);
+        let bounds = Aabb::new(Vec3::ZERO, Vec3::new(15.0, 8.0, 8.0));
+        let grid = CurvilinearGrid::cartesian(dims, bounds).unwrap();
+        let meta = DatasetMeta {
+            name: "unsteady".into(),
+            dims,
+            timestep_count: STEPS,
+            dt: 0.1,
+            coords: VelocityCoords::Grid,
+        };
+        let fields = (0..STEPS)
+            .map(|t| {
+                let t = t as f32;
+                VectorField::from_fn(dims, move |i, j, _| {
+                    let swirl = (0.7 * t + 0.4 * i as f32 + 0.2 * j as f32).sin();
+                    Vec3::new(1.0, 0.3 * swirl, 0.05 * (t - 2.0))
+                })
+            })
+            .collect();
+        let ds = Dataset::new(meta, grid.clone(), fields).unwrap();
+        let store = LoggingStore {
+            inner: MemoryStore::from_dataset(ds),
+            fetches: Mutex::default(),
+            hints: Mutex::default(),
+            latency_ms: AtomicU64::new(0),
+        };
+        (Arc::new(store), grid)
+    }
+
+    /// A server over `store`; `governed` sets a 1 ns budget, which pins
+    /// the governor's detail at its floor after the first fresh frame.
+    fn unsteady_state(
+        store: Arc<LoggingStore>,
+        grid: CurvilinearGrid,
+        governed: bool,
+    ) -> ServerState {
+        let mut opts = ServerOptions::default();
+        opts.compute.trace.dt = 0.05;
+        opts.compute.trace.max_points = 400;
+        opts.frame_budget = governed.then_some(Duration::from_nanos(1));
+        ServerState::new(store, grid, opts, Arc::default())
+    }
+
+    /// One generated call against `state` as `client`; the reply bytes
+    /// (empty for commands) or the error. `baseline` is the client's last
+    /// delta revision.
+    fn twin_call(
+        state: &mut ServerState,
+        client: u64,
+        op: (u8, u8, u8),
+        baseline: &mut u64,
+    ) -> Result<Bytes, String> {
+        let (code, a, b) = op;
+        let session = Session { client_id: client };
+        let time = |tc| Command::Time(tc);
+        let cmd = match code {
+            0 => time(TimeCommand::Play),
+            1 => time(TimeCommand::Pause),
+            2 => time(TimeCommand::Reverse),
+            3 => time(TimeCommand::SetRate([0.0, 0.5, -1.0][usize::from(a % 3)])),
+            4 => time(TimeCommand::Jump(u32::from(a) % STEPS as u32)),
+            5 => time(TimeCommand::Step(if a % 2 == 0 { 1 } else { -1 })),
+            6 => {
+                let at = Vec3::new(1.0 + f32::from(a % 4), 1.0 + f32::from(b % 5), 3.0);
+                Command::AddRake {
+                    a: at,
+                    b: at + Vec3::new(0.0, 1.5, 2.0),
+                    seed_count: 2 + u32::from(a % 4),
+                    tool: [
+                        ToolKind::Streamline,
+                        ToolKind::ParticlePath,
+                        ToolKind::Streakline,
+                    ][usize::from(b % 3)],
+                }
+            }
+            7 => {
+                let ids: Vec<RakeId> = state.env.rakes().map(|(id, _)| id).collect();
+                let id = ids.get(usize::from(a) % ids.len().max(1)).copied();
+                Command::RemoveRake {
+                    id: id.unwrap_or(999),
+                }
+            }
+            8 => {
+                // Grab a rake by its centre handle, drag it, let go.
+                let Some((_, entry)) = state
+                    .env
+                    .rakes()
+                    .nth(usize::from(a) % state.env.rake_count().max(1))
+                else {
+                    return Ok(Bytes::new());
+                };
+                let centre = entry.rake.handle_position(tracer::Handle::Center);
+                let from = state.grid.to_physical(centre).unwrap_or(centre);
+                let to = from + Vec3::new(0.0, f32::from(b % 5) * 0.1 - 0.2, 0.3);
+                for (position, gesture) in [(from, vr::Gesture::Fist), (to, vr::Gesture::Fist)] {
+                    state.apply_command(session, Command::Hand { position, gesture })?;
+                }
+                Command::Hand {
+                    position: to,
+                    gesture: vr::Gesture::Open,
+                }
+            }
+            9 => Command::HeadPose {
+                pose: Pose::new(
+                    Vec3::new(f32::from(a), f32::from(b), 1.0),
+                    vecmath::Quat::IDENTITY,
+                ),
+            },
+            10..=13 => return state.frame_bytes(code != 13).map(Payload::into_bytes),
+            _ => {
+                let req = DeltaRequest {
+                    advance: code != 18,
+                    baseline: if b % 4 == 0 { 0 } else { *baseline },
+                };
+                let reply = state.delta_bytes(client, req).map(Payload::into_bytes);
+                *baseline = state.env.revision();
+                return reply;
+            }
+        };
+        state.apply_command(session, cmd).map(|()| Bytes::new())
+    }
+
+    mod twin {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The frame ahead changes no byte: two servers over one
+            /// store take the same calls from two clients; one runs the
+            /// idle hook after every call, the other never does.
+            #[test]
+            fn frame_ahead_twin_replies_byte_identical(
+                governed in any::<bool>(),
+                ops in proptest::collection::vec((0u8..19, any::<u8>(), any::<u8>(), any::<bool>()), 10..60),
+            ) {
+                let (store, grid) = unsteady_store();
+                let mut ahead = unsteady_state(Arc::clone(&store), grid.clone(), governed);
+                let mut plain = unsteady_state(store, grid, governed);
+                let mut baselines = [[0u64; 2]; 2];
+                // Start from a playing clock and one streamline rake.
+                let setup = [(6, 0, 0, false), (0, 0, 0, false)];
+                for (i, &(code, a, b, second)) in setup.iter().chain(&ops).enumerate() {
+                    let c = usize::from(second);
+                    let client = 1 + c as u64;
+                    let got = twin_call(&mut ahead, client, (code, a, b), &mut baselines[0][c]);
+                    ahead.idle(&|| false);
+                    let want = twin_call(&mut plain, client, (code, a, b), &mut baselines[1][c]);
+                    prop_assert!(got == want, "call {} {:?} from client {}: replies differ", i, (code, a, b), client);
+                }
+            }
+        }
+    }
+
+    fn advancing_frame(state: &mut ServerState) -> Bytes {
+        state.frame_bytes(true).unwrap().into_bytes()
+    }
+
+    /// An advancing frame that leaves the idle hook armed. The
+    /// compute-bound gate compares two measured times, so these tests
+    /// pin its outcome; `store_bound_frame_is_not_traced_ahead` tests it.
+    fn armed_frame(state: &mut ServerState) -> Bytes {
+        let reply = advancing_frame(state);
+        state.ahead_armed = Some(state.env.revision());
+        reply
+    }
+
+    /// A playing server with two streamline rakes, one frame in; and
+    /// its twin, which never runs the idle hook.
+    fn playing_twins(governed: bool) -> [(ServerState, Arc<LoggingStore>); 2] {
+        [0, 1].map(|_| {
+            let (store, grid) = unsteady_store();
+            let mut state = unsteady_state(Arc::clone(&store), grid, governed);
+            for y in [2.0, 5.0] {
+                let add = Command::AddRake {
+                    a: Vec3::new(2.0, y, 3.0),
+                    b: Vec3::new(2.0, y + 1.0, 5.0),
+                    seed_count: 4,
+                    tool: ToolKind::Streamline,
+                };
+                state.apply_command(Session { client_id: 1 }, add).unwrap();
+            }
+            state
+                .apply_command(Session { client_id: 1 }, Command::Time(TimeCommand::Play))
+                .unwrap();
+            advancing_frame(&mut state);
+            (state, store)
+        })
+    }
+
+    #[test]
+    fn adopted_frame_issues_no_fetch() {
+        for governed in [false, true] {
+            let [(mut ahead, log), (mut plain, _)] = playing_twins(governed);
+            assert_eq!(armed_frame(&mut ahead), advancing_frame(&mut plain));
+            ahead.idle(&|| false);
+            assert_eq!(ahead.stats.cum_ahead_traced, 2, "both rakes traced ahead");
+            let fetched = log.fetches.lock().len();
+            assert_eq!(advancing_frame(&mut ahead), advancing_frame(&mut plain));
+            assert_eq!(
+                log.fetches.lock().len(),
+                fetched,
+                "the frame took the slot's field"
+            );
+            assert_eq!(ahead.stats.cum_ahead_adopted, 2);
+        }
+    }
+
+    #[test]
+    fn pending_call_at_the_first_poll_traces_nothing() {
+        let [(mut ahead, log), (mut plain, _)] = playing_twins(false);
+        assert_eq!(armed_frame(&mut ahead), advancing_frame(&mut plain));
+        let fetched = log.fetches.lock().len();
+        ahead.idle(&|| true);
+        assert_eq!(ahead.stats.cum_ahead_traced, 0);
+        assert_eq!(log.fetches.lock().len(), fetched, "nothing fetched ahead");
+        assert_eq!(advancing_frame(&mut ahead), advancing_frame(&mut plain));
+        assert_eq!(ahead.stats.cum_ahead_adopted, 0);
+    }
+
+    #[test]
+    fn reverse_before_the_frame_discards_the_slot_at_one_extra_fetch() {
+        let [(mut ahead, log), (mut plain, plain_log)] = playing_twins(false);
+        assert_eq!(armed_frame(&mut ahead), advancing_frame(&mut plain));
+        ahead.idle(&|| false);
+        let predicted = ahead.env.time.timestep() + 1;
+        assert_eq!(ahead.stats.cum_ahead_traced, 2);
+        for state in [&mut ahead, &mut plain] {
+            let reverse = Command::Time(TimeCommand::Reverse);
+            state
+                .apply_command(Session { client_id: 1 }, reverse)
+                .unwrap();
+        }
+        assert_eq!(advancing_frame(&mut ahead), advancing_frame(&mut plain));
+        assert_eq!(ahead.stats.cum_ahead_adopted, 0);
+        let mut expected = plain_log.fetches.lock().clone();
+        expected.insert(expected.len() - 1, predicted);
+        assert_eq!(*log.fetches.lock(), expected);
+    }
+
+    #[test]
+    fn store_bound_frame_is_not_traced_ahead() {
+        let [(mut state, log), _] = playing_twins(false);
+        // Every fetch now waits far longer than this scene's trace.
+        log.latency_ms
+            .store(300, std::sync::atomic::Ordering::Relaxed);
+        advancing_frame(&mut state);
+        assert!(state.stats.fetch_us > state.stats.integrate_us);
+        let fetched = log.fetches.lock().len();
+        state.idle(&|| false);
+        assert_eq!(state.stats.cum_ahead_traced, 0);
+        assert_eq!(log.fetches.lock().len(), fetched, "nothing fetched ahead");
+    }
+
+    #[test]
+    fn a_clock_at_rate_zero_sends_no_direction_hint() {
+        let (store, grid) = unsteady_store();
+        let mut state = unsteady_state(Arc::clone(&store), grid, false);
+        let user = Session { client_id: 1 };
+        for tc in [TimeCommand::SetRate(0.0), TimeCommand::Play] {
+            state.apply_command(user, Command::Time(tc)).unwrap();
+        }
+        for _ in 0..3 {
+            advancing_frame(&mut state);
+        }
+        assert!(store.hints.lock().is_empty(), "{:?}", store.hints.lock());
+        state
+            .apply_command(user, Command::Time(TimeCommand::SetRate(-0.0)))
+            .unwrap();
+        advancing_frame(&mut state);
+        assert!(store.hints.lock().is_empty(), "{:?}", store.hints.lock());
+        state
+            .apply_command(user, Command::Time(TimeCommand::SetRate(-0.5)))
+            .unwrap();
+        for _ in 0..3 {
+            advancing_frame(&mut state);
+        }
+        assert_eq!(*store.hints.lock(), [-1, -1, -1]);
     }
 }

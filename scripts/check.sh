@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full pre-merge check: formatting, release build, tests, warning-free
-# clippy, the seeded chaos and equality passes, the golden images, and a
-# --quick smoke of the end-to-end benchmark (scaled-down workloads).
+# clippy, the seeded chaos and equality passes (the frame-ahead twin
+# servers among them), the golden images, and a --quick smoke of the
+# end-to-end benchmark (scaled-down workloads).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -40,6 +41,11 @@ PROPTEST_CASES=32 RUST_BACKTRACE=1 cargo test -q --test disk_chaos
 # AoS timesteps, are only as good as this proptest says they are). Once
 # at the default seed here, once at the fresh seed below.
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test streak_equiv
+# The frame ahead changes no byte: twin servers over one store take the
+# same random calls from two clients, one running the dispatcher's idle
+# hook (trace the next playback frame) after every call; every reply must
+# be byte-identical. Once here, once at the fresh seed below.
+PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --lib frame_ahead_twin
 # The one-sweep streamline kernel (k1 reuse, grid->physical map fused
 # into the velocity sample) bit-identical to the verbatim trace-then-map oracle,
 # per point in tracer and as encoded frame bytes in windtunnel.
@@ -60,11 +66,12 @@ PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --te
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 seed=$(date +%s%N)
-echo "wire and field codecs, streak pair: fresh PROPTEST_SEED=$seed"
+echo "wire and field codecs, streak pair, frame-ahead twins: fresh PROPTEST_SEED=$seed"
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --test codec_roundtrip
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test streak_equiv
+PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --lib frame_ahead_twin
 # Renderer: the concurrent two-eye anaglyph (and the client's display path
 # over borrowed paths) bit-identical to the sequential oracle, every
 # colour byte and Z bit; then the committed golden PPMs (six from

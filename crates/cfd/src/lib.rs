@@ -1,4 +1,3 @@
-#![deny(unsafe_op_in_unsafe_fn, unused_must_use)]
 //! Synthetic unsteady-flow generation for the distributed virtual
 //! windtunnel.
 //!

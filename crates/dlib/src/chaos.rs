@@ -109,9 +109,8 @@ impl FaultPlan {
             edge += c.delay;
             edge
         } {
-            let micros = self
-                .rng
-                .random_range(1..=c.max_delay.as_micros().max(1) as u64);
+            let max = u64::try_from(c.max_delay.as_micros()).unwrap_or(u64::MAX);
+            let micros = self.rng.random_range(1..=max.max(1));
             FaultAction::Delay(Duration::from_micros(micros))
         } else if roll < {
             edge += c.duplicate;

@@ -17,6 +17,10 @@
 //! matching. Reconnect, or let [`crate::resilient::ReconnectingClient`]
 //! do it for you.
 
+// A per-frame service file: a debug print here is a latency spike for
+// every client (stderr is a blocking global lock).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use crate::chaos::{FaultAction, FaultPlan};
 use crate::message::{write_envelope, Reply, ENVELOPE_LEN};
 use crate::wire::FrameAccumulator;
@@ -188,8 +192,10 @@ impl DlibClient {
             FaultAction::Deliver => send(usize::MAX),
             FaultAction::Drop => Ok(()), // swallowed; the deadline will notice
             FaultAction::Delay(d) => {
-                #[allow(clippy::disallowed_methods)]
-                // injected-fault delay: the chaos transport deliberately stalls this call
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "injected-fault delay: the chaos transport deliberately stalls this call"
+                )]
                 std::thread::sleep(d);
                 send(usize::MAX)
             }
@@ -225,7 +231,10 @@ impl DlibClient {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // tests sleep to let real threads make progress
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests sleep to let real threads make progress"
+)]
 mod tests {
     use super::*;
     use crate::chaos::FaultConfig;

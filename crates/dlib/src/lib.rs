@@ -1,4 +1,3 @@
-#![deny(unsafe_op_in_unsafe_fn, unused_must_use)]
 //! dlib — the Distributed Library (Yamasaki, RNR-90-008), reimplemented.
 //!
 //! §4 of the paper: "Like many systems which provide for distributed
@@ -43,6 +42,7 @@ pub use message::{Call, Payload, Reply, Status};
 pub use resilient::{ReconnectingClient, RetryPolicy};
 pub use server::{
     DisconnectReason, DlibServer, ServerConfig, ServerHandle, Session, SessionEvent, PROC_PING,
+    RESERVED_PROC_MIN,
 };
 pub use throttle::ThrottledWriter;
 

@@ -71,8 +71,10 @@ impl RetryPolicy {
     /// Backoff before retry number `retry` (0-based): `initial *
     /// multiplier^retry`, capped at [`RetryPolicy::max_backoff`].
     pub fn backoff(&self, retry: u32) -> Duration {
-        // lint:allow(panic-path): clamped to 63, well inside i32
-        let factor = self.multiplier.max(1.0).powi(retry.min(63) as i32);
+        let factor = self
+            .multiplier
+            .max(1.0)
+            .powi(i32::try_from(retry).map_or(63, |r| r.min(63)));
         let raw = self.initial_backoff.as_secs_f64() * factor;
         Duration::from_secs_f64(raw.min(self.max_backoff.as_secs_f64()))
     }
@@ -172,8 +174,10 @@ impl ReconnectingClient {
             let mut last_err = DlibError::Disconnected;
             for retry in 0..self.policy.max_attempts.max(1) {
                 if retry > 0 {
-                    #[allow(clippy::disallowed_methods)]
-                    // reconnect backoff on the dedicated resilient-client thread
+                    #[allow(
+                        clippy::disallowed_methods,
+                        reason = "reconnect backoff on the dedicated resilient-client thread"
+                    )]
                     std::thread::sleep(self.policy.backoff_jittered(retry - 1, self.backoff_seed));
                 }
                 match DlibClient::connect_with(self.addr, self.config) {
@@ -225,8 +229,10 @@ impl ReconnectingClient {
             match res {
                 Ok(b) => return Ok(b),
                 Err(DlibError::Busy) if retry + 1 < self.policy.max_attempts => {
-                    #[allow(clippy::disallowed_methods)]
-                    // reconnect backoff on the dedicated resilient-client thread
+                    #[allow(
+                        clippy::disallowed_methods,
+                        reason = "reconnect backoff on the dedicated resilient-client thread"
+                    )]
                     std::thread::sleep(self.policy.backoff_jittered(retry, self.backoff_seed));
                     retry += 1;
                 }
@@ -259,8 +265,10 @@ impl ReconnectingClient {
                     if !retryable || retry + 1 >= self.policy.max_attempts {
                         return Err(e);
                     }
-                    #[allow(clippy::disallowed_methods)]
-                    // reconnect backoff on the dedicated resilient-client thread
+                    #[allow(
+                        clippy::disallowed_methods,
+                        reason = "reconnect backoff on the dedicated resilient-client thread"
+                    )]
                     std::thread::sleep(self.policy.backoff_jittered(retry, self.backoff_seed));
                     retry += 1;
                 }

@@ -30,11 +30,16 @@
 //!
 //! [`Status::Busy`]: crate::message::Status::Busy
 
+// A per-frame service file: a debug print here is a latency spike for
+// every client (stderr is a blocking global lock).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use crate::message::{Call, Payload, Reply, Status};
 use crate::wire::FrameAccumulator;
 use crate::{DlibError, Result};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,6 +53,10 @@ use std::time::{Duration, Instant};
 /// each connection's reader thread (echoing the argument bytes) without
 /// entering the dispatch queue.
 pub const PROC_PING: u32 = 0xFFFF_0001;
+
+/// Lowest procedure id reserved for dlib built-ins; [`DlibServer::register`]
+/// refuses it and everything above.
+pub const RESERVED_PROC_MIN: u32 = 0xFFFF_0000;
 
 /// Per-connection identity handed to every procedure — the hook the
 /// windtunnel uses for first-come-first-served rake locking.
@@ -145,6 +154,9 @@ pub struct DlibServer<S> {
     procedures: HashMap<u32, Procedure<S>>,
     event_hook: Option<EventHook<S>>,
     idle_hook: Option<IdleHook<S>>,
+    /// The first refused registration, returned by `serve` so a clashing
+    /// procedure table fails at startup instead of shadowing a handler.
+    bad_registration: Option<String>,
 }
 
 enum Job {
@@ -166,22 +178,33 @@ impl<S: Send + 'static> DlibServer<S> {
             procedures: HashMap::new(),
             event_hook: None,
             idle_hook: None,
+            bad_registration: None,
         }
     }
 
-    /// Register a procedure under a numeric id (replaces any previous
-    /// registration of the same id). Ids at `0xFFFF_0000` and above are
-    /// reserved for built-ins like [`PROC_PING`]. The result converts
-    /// into a [`Payload`]: one `Bytes`, or a rope of them sent unjoined.
+    /// Register a procedure under a numeric id. An id registered twice,
+    /// or one at [`RESERVED_PROC_MIN`] and above (the range of built-ins
+    /// like [`PROC_PING`]), is refused: the first such call makes `serve`
+    /// return [`DlibError::Protocol`] naming it. The result converts into
+    /// a [`Payload`]: one `Bytes`, or a rope of them sent unjoined.
     pub fn register<F, P>(&mut self, id: u32, f: F) -> &mut Self
     where
         F: Fn(&mut S, Session, &[u8]) -> std::result::Result<P, String> + Send + 'static,
         P: Into<Payload>,
     {
-        self.procedures.insert(
-            id,
-            Box::new(move |state, session, args| f(state, session, args).map(Into::into)),
-        );
+        let refused = if id >= RESERVED_PROC_MIN {
+            Some("is in the reserved built-in range")
+        } else if let Entry::Vacant(slot) = self.procedures.entry(id) {
+            slot.insert(Box::new(move |state, session, args| {
+                f(state, session, args).map(Into::into)
+            }));
+            None
+        } else {
+            Some("is already registered")
+        };
+        if let (Some(why), None) = (refused, &self.bad_registration) {
+            self.bad_registration = Some(format!("procedure id {id:#010x} {why}"));
+        }
         self
     }
 
@@ -219,6 +242,9 @@ impl<S: Send + 'static> DlibServer<S> {
 
     /// Bind and start serving with explicit transport configuration.
     pub fn serve_with(self, addr: &str, config: ServerConfig) -> Result<ServerHandle> {
+        if let Some(why) = self.bad_registration {
+            return Err(DlibError::Protocol(why));
+        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -361,11 +387,16 @@ fn spawn_connection(
     let mut write_stream = match stream.try_clone() {
         Ok(s) => s,
         Err(e) => {
-            // lint:allow(hygiene): connection-fatal error path, not per-frame
-            eprintln!(
-                "dlib: session {}: cannot clone stream: {e}",
-                session.client_id
-            );
+            #[expect(
+                clippy::print_stderr,
+                reason = "connection-fatal error path, not per-frame"
+            )]
+            {
+                eprintln!(
+                    "dlib: session {}: cannot clone stream: {e}",
+                    session.client_id
+                );
+            }
             return;
         }
     };
@@ -391,8 +422,13 @@ fn spawn_connection(
             }
         });
     if let Err(e) = writer {
-        // lint:allow(hygiene): spawn failure tears down this connection; rare, not per-frame
-        eprintln!("dlib: session {}: spawn writer: {e}", session.client_id);
+        #[expect(
+            clippy::print_stderr,
+            reason = "spawn failure tears down this connection; rare, not per-frame"
+        )]
+        {
+            eprintln!("dlib: session {}: spawn writer: {e}", session.client_id);
+        }
         return;
     }
     // Reader: decodes calls and enqueues them in arrival order. The short
@@ -423,8 +459,13 @@ fn spawn_connection(
                 reason,
                 DisconnectReason::ClosedByPeer | DisconnectReason::ServerShutdown
             ) {
-                // lint:allow(hygiene): once per disconnect, the operator wants to see it
-                eprintln!("dlib: session {} dropped: {reason}", session.client_id);
+                #[expect(
+                    clippy::print_stderr,
+                    reason = "once per disconnect, the operator wants to see it"
+                )]
+                {
+                    eprintln!("dlib: session {} dropped: {reason}", session.client_id);
+                }
             }
             let _ = stream.shutdown(Shutdown::Both);
             let _ = job_tx.send(Job::Event {
@@ -434,8 +475,13 @@ fn spawn_connection(
             // reply_tx drops here, ending the writer thread.
         });
     if let Err(e) = reader {
-        // lint:allow(hygiene): spawn failure tears down this connection; rare, not per-frame
-        eprintln!("dlib: session {}: spawn reader: {e}", session.client_id);
+        #[expect(
+            clippy::print_stderr,
+            reason = "spawn failure tears down this connection; rare, not per-frame"
+        )]
+        {
+            eprintln!("dlib: session {}: spawn reader: {e}", session.client_id);
+        }
     }
 }
 
@@ -540,7 +586,10 @@ impl Drop for ServerHandle {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // tests sleep to let real threads make progress
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests sleep to let real threads make progress"
+)]
 mod tests {
     use super::*;
     use crate::client::DlibClient;
@@ -578,6 +627,42 @@ mod tests {
         let log = c.call(PROC_READ, b"").unwrap();
         assert_eq!(&log[..], b"abcd");
         server.shutdown();
+    }
+
+    fn refusal(server: DlibServer<()>) -> String {
+        match server.serve("127.0.0.1:0") {
+            Err(DlibError::Protocol(m)) => m,
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a clashing procedure table started serving"),
+        }
+    }
+
+    #[test]
+    fn duplicate_procedure_id_fails_at_startup() {
+        let mut server = DlibServer::new(());
+        server.register(PROC_APPEND, |_, _, _| Ok(Bytes::new()));
+        server.register(PROC_READ, |_, _, _| Ok(Bytes::new()));
+        server.register(PROC_APPEND, |_, _, _| Ok(Bytes::from_static(b"shadow")));
+        assert_eq!(
+            refusal(server),
+            "procedure id 0x00000001 is already registered"
+        );
+    }
+
+    #[test]
+    fn reserved_procedure_id_fails_at_startup() {
+        for id in [RESERVED_PROC_MIN, PROC_PING, u32::MAX] {
+            let mut server = DlibServer::new(());
+            server.register(id, |_, _, _| Ok(Bytes::new()));
+            assert_eq!(
+                refusal(server),
+                format!("procedure id {id:#010x} is in the reserved built-in range")
+            );
+        }
+        // The last id below the range is an application id.
+        let mut server = DlibServer::new(());
+        server.register(RESERVED_PROC_MIN - 1, |_, _, _| Ok(Bytes::new()));
+        server.serve("127.0.0.1:0").unwrap().shutdown();
     }
 
     #[test]

@@ -79,8 +79,10 @@ impl<W: Write> Write for ThrottledWriter<W> {
         if self.bytes_per_sec > 0.0 {
             let now = Instant::now();
             if self.earliest_next > now {
-                #[allow(clippy::disallowed_methods)]
-                // rate-limiter pacing: the caller asked to block until the next send slot
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "rate-limiter pacing: the caller asked to block until the next send slot"
+                )]
                 std::thread::sleep(self.earliest_next - now);
             }
             let cost = Duration::from_secs_f64(take as f64 / self.bytes_per_sec);

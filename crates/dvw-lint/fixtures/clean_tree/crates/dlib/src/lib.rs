@@ -1,29 +1,12 @@
-#![deny(unused_must_use)]
-//! A file that is simultaneously panic-free, wire-consistent,
-//! lock-ordered, and hygienic — every pass runs here and none fires.
+//! Two guards taken and released before the wait: the pass runs here
+//! and never fires.
 
 use parking_lot::Mutex;
-
-pub const PROTOCOL_VERSION: u32 = 1;
-
-pub const PROC_HELLO: u32 = 0x0057_0001;
-pub const PROC_FRAME: u32 = 0x0057_0002;
-
-pub struct Msg;
-
-impl Msg {
-    pub fn encode(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    pub fn decode(_buf: &[u8]) -> Option<Msg> {
-        Some(Msg)
-    }
-}
 
 pub struct Server {
     sessions: Mutex<u32>,
     queue: Mutex<u32>,
+    rx: Receiver<u32>,
 }
 
 impl Server {
@@ -33,11 +16,7 @@ impl Server {
         let sum = s.checked_add(*q)?;
         drop(q);
         drop(s);
-        Some(sum)
+        let next = self.rx.recv().ok()?;
+        sum.checked_add(next)
     }
-}
-
-// SAFETY: the pointer comes from a live reference one line down.
-pub fn read_first(v: &[u32; 4]) -> u32 {
-    unsafe { *v.as_ptr() }
 }

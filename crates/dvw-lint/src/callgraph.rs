@@ -1,8 +1,8 @@
 //! Workspace-wide call graph with fixed-point may-block propagation.
 //!
-//! The lock pass inlines calls one level; that is not enough for the
-//! prefetch/resilient stacks, where a fetch can cross three wrappers
-//! before it reaches a channel `recv` or a file read. This module
+//! In the prefetch/resilient stacks a fetch can cross three wrappers
+//! before it reaches a channel `recv` or a file read, so inlining one
+//! call level is not enough. This module
 //! extracts every `fn` item with a crate-qualified key, classifies
 //! *direct* blocking primitives (bounded channel `send`/`recv`, thread
 //! `join`, condvar waits, socket/file reads, `sleep` backoff), records
@@ -17,7 +17,6 @@
 //! inference), and `drop` is never a call — it is the guard-release
 //! intrinsic.
 
-use crate::config::Config;
 use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,7 +25,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// channel operations, thread join, condvar waits, socket/file I/O.
 /// `write_vectored` / `write_all_vectored` are dlib's socket send since
 /// its frames stopped going through `write_all` + `flush`.
-/// `lint.toml [blocking] methods` extends this set.
 pub const BLOCKING_METHODS: [&str; 12] = [
     "send",
     "recv",
@@ -48,8 +46,7 @@ pub const BLOCKING_METHODS: [&str; 12] = [
 const ZERO_ARG_ONLY: [&str; 2] = ["recv", "join"];
 
 /// Free functions that block: `sleep` catches `std::thread::sleep` and
-/// any local backoff helper of the same name. `lint.toml [blocking]
-/// functions` extends this set.
+/// any local backoff helper of the same name.
 pub const BLOCKING_FUNCTIONS: [&str; 1] = ["sleep"];
 
 /// Keywords and intrinsics that must never be treated as call sites.
@@ -59,48 +56,30 @@ const NON_CALLS: [&str; 26] = [
     "use", "drop", "self",
 ];
 
-/// The blocking-primitive classifier, seeded from built-ins plus the
-/// `[blocking]` config section.
-pub struct Primitives {
-    methods: Vec<String>,
-    functions: Vec<String>,
-}
-
-impl Primitives {
-    pub fn from_config(cfg: &Config) -> Primitives {
-        let mut methods: Vec<String> = BLOCKING_METHODS.iter().map(|s| s.to_string()).collect();
-        methods.extend(cfg.blocking_methods.iter().cloned());
-        let mut functions: Vec<String> = BLOCKING_FUNCTIONS.iter().map(|s| s.to_string()).collect();
-        functions.extend(cfg.blocking_functions.iter().cloned());
-        Primitives { methods, functions }
+/// If `code[j]` heads a blocking primitive call, describe it
+/// (`` `.recv()` ``, `` `sleep(..)` ``). Lock acquisition
+/// (`.lock()`/`.read()`/`.write()`) is deliberately *not* here: the
+/// blocking pass tracks it as the start of a guard.
+pub fn classify(code: &[Tok], j: usize) -> Option<String> {
+    let t = code.get(j)?;
+    if t.kind != TokKind::Ident || !code.get(j + 1).map(|n| n.is_punct('(')).unwrap_or(false) {
+        return None;
     }
-
-    /// If `code[j]` heads a blocking primitive call, describe it
-    /// (`` `.recv()` ``, `` `sleep(..)` ``). Lock acquisition
-    /// (`.lock()`/`.read()`/`.write()`) is deliberately *not* here —
-    /// that is the lock-order pass's territory.
-    pub fn classify(&self, code: &[Tok], j: usize) -> Option<String> {
-        let t = code.get(j)?;
-        if t.kind != TokKind::Ident || !code.get(j + 1).map(|n| n.is_punct('(')).unwrap_or(false) {
+    let after_dot = j > 0 && code[j - 1].is_punct('.');
+    if after_dot {
+        if !BLOCKING_METHODS.contains(&t.text.as_str()) {
             return None;
         }
-        let after_dot = j > 0 && code[j - 1].is_punct('.');
-        if after_dot {
-            if !self.methods.iter().any(|m| m == &t.text) {
-                return None;
-            }
-            if ZERO_ARG_ONLY.contains(&t.text.as_str())
-                && !code.get(j + 2).map(|n| n.is_punct(')')).unwrap_or(false)
-            {
-                return None;
-            }
-            return Some(format!("`.{}()`", t.text));
+        if ZERO_ARG_ONLY.contains(&t.text.as_str())
+            && !code.get(j + 2).map(|n| n.is_punct(')')).unwrap_or(false)
+        {
+            return None;
         }
-        if self.functions.iter().any(|m| m == &t.text) {
-            return Some(format!("`{}(..)`", t.text));
-        }
-        None
+        return Some(format!("`.{}()`", t.text));
     }
+    BLOCKING_FUNCTIONS
+        .contains(&t.text.as_str())
+        .then(|| format!("`{}(..)`", t.text))
 }
 
 /// `(crate directory, function name)` — the graph's node key. Same-name
@@ -128,11 +107,10 @@ impl Blocked {
     }
 }
 
-/// One extracted `fn` item: name, source line, and the token span of
-/// its body (`open` = index of `{`, `close` = index of matching `}`).
+/// One extracted `fn` item: name and the token span of its body
+/// (`open` = index of `{`, `close` = index of matching `}`).
 pub struct FnItem {
     pub name: String,
-    pub line: u32,
     pub open: usize,
     pub close: usize,
 }
@@ -191,7 +169,6 @@ pub fn fn_items(file: &SourceFile) -> Vec<FnItem> {
         let close = k.min(code.len().saturating_sub(1));
         out.push(FnItem {
             name: name.text.clone(),
-            line: name.line,
             open,
             close,
         });
@@ -331,14 +308,14 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    pub fn build(files: &[SourceFile], prims: &Primitives) -> CallGraph {
+    pub fn build(files: &[SourceFile]) -> CallGraph {
         let crate_dirs: BTreeSet<String> = files.iter().map(|f| crate_of(&f.rel)).collect();
         let mut fns: BTreeMap<FnKey, Summary> = BTreeMap::new();
         for f in files {
             let krate = crate_of(&f.rel);
             for item in fn_items(f) {
                 let slot = fns.entry((krate.clone(), item.name.clone())).or_default();
-                summarize_body(f, &item, prims, &krate, &crate_dirs, slot);
+                summarize_body(f, &item, &krate, &crate_dirs, slot);
             }
         }
         // Seed with direct blockers, then propagate to callers until no
@@ -415,11 +392,6 @@ impl CallGraph {
         }
         None
     }
-
-    /// Direct lookup, for tests.
-    pub fn fn_blocked(&self, krate: &str, name: &str) -> Option<&Blocked> {
-        self.blocked.get(&(krate.to_string(), name.to_string()))
-    }
 }
 
 /// Record one function body's direct blockers and call sites, skipping
@@ -427,7 +399,6 @@ impl CallGraph {
 fn summarize_body(
     file: &SourceFile,
     item: &FnItem,
-    prims: &Primitives,
     krate: &str,
     crate_dirs: &BTreeSet<String>,
     out: &mut Summary,
@@ -443,7 +414,7 @@ fn summarize_body(
             j += 1;
             continue;
         }
-        if let Some(what) = prims.classify(code, j) {
+        if let Some(what) = classify(code, j) {
             out.blockers.push((file.rel.clone(), code[j].line, what));
         } else if let Some((candidates, display)) = call_candidates(code, j, krate, crate_dirs) {
             out.calls.push((candidates, display));

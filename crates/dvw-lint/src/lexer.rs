@@ -2,8 +2,8 @@
 //!
 //! Just enough fidelity for line-level static analysis: identifiers,
 //! numeric/string/char literals, lifetimes, single-character punctuation,
-//! and comments (kept as tokens so the escape-hatch and `SAFETY:` passes
-//! can see them). It is *not* a parser — passes pattern-match over the
+//! and comments (kept as tokens so the escape hatch can see them). It is
+//! *not* a parser — the pass pattern-matches over the
 //! token stream — but it is exact about what is code versus what is a
 //! string or a comment, which is the part naive `grep`-style linting gets
 //! wrong.

@@ -1,283 +1,111 @@
-#![deny(unsafe_op_in_unsafe_fn, unused_must_use)]
-//! `dvw-lint` — the workspace invariant checker.
+//! `dvw-lint` — the blocking-while-locked checker.
 //!
-//! The windtunnel's 1/8 s command→compute→transfer→render budget (§2 of
-//! the paper) makes several properties *system-wide* correctness
-//! conditions rather than local style choices: a panic on a server path
-//! drops frames for every connected client, a reused RPC proc id breaks
-//! the wire protocol for every peer, a lock-order inversion between the
-//! dispatcher and session state deadlocks the whole simulation, a thread
-//! that blocks while holding a guard stalls every other thread touching
-//! that lock, and a stats counter dropped from a fold reports zero
-//! forever. This crate turns those review-time rules into a
-//! machine-checked gate: six passes over the workspace source, driven by
-//! `lint.toml`, run by `scripts/check.sh` before clippy.
+//! Under the paper's serial multi-user model one stalled server thread
+//! costs every connected client a frame, and a thread that blocks while
+//! it holds a guard stalls every other thread touching that lock. No
+//! off-the-shelf tool sees that across function and crate boundaries,
+//! so this crate does it: a lexer, a per-file source model, a
+//! workspace-wide call graph with may-block propagation, and the
+//! blocking pass over the service-path crates in [`CRATES`]. The other
+//! workspace invariants are enforced by rustc and clippy lint levels,
+//! exhaustive destructuring and golden-byte tests (`DESIGN.md` §7).
 //!
-//! See `DESIGN.md` §7 for the pass-by-pass specification and the
-//! escape-hatch policy (`// lint:allow(<pass>): <reason>`).
+//! Escape hatch: `// lint:allow(blocking): <reason>` on the offending
+//! line or the line above; the reason is mandatory.
 
-pub mod callgraph;
-pub mod config;
-pub mod json;
-pub mod lexer;
-pub mod source;
+mod blocking;
+mod callgraph;
+mod lexer;
+mod source;
 
-mod passes {
-    pub mod blocking;
-    pub mod hygiene;
-    pub mod locks;
-    pub mod panic_path;
-    pub mod stats;
-    pub mod wire;
-}
-
-use config::Config;
 use source::SourceFile;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// The six analysis passes. The name doubles as the `lint:allow` key
-/// and the `[pass]` tag in output lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Pass {
-    PanicPath,
-    WireProtocol,
-    LockOrder,
-    Hygiene,
-    Blocking,
-    Stats,
-}
+/// Crate directories whose non-test code the blocking pass checks: the
+/// dlib dispatcher, the windtunnel session/compute loops, the storage
+/// prefetch and fault-tolerance stacks, the codec and the tracer.
+pub const CRATES: [&str; 5] = ["dlib", "windtunnel", "storage", "flowfield", "tracer"];
 
-impl Pass {
-    pub fn name(self) -> &'static str {
-        match self {
-            Pass::PanicPath => "panic-path",
-            Pass::WireProtocol => "wire-protocol",
-            Pass::LockOrder => "lock-order",
-            Pass::Hygiene => "hygiene",
-            Pass::Blocking => "blocking",
-            Pass::Stats => "stats",
-        }
-    }
-}
-
-/// One diagnostic, formatted as `file:line: [pass] message` — stable,
-/// diff-friendly, and editor-clickable.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One diagnostic, formatted as `file:line: [blocking] message` —
+/// stable, diff-friendly, and editor-clickable.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     pub file: String,
     pub line: u32,
-    pub pass: Pass,
     pub msg: String,
-}
-
-impl Finding {
-    pub fn new(file: &str, line: u32, pass: Pass, msg: String) -> Finding {
-        Finding {
-            file: file.to_string(),
-            line,
-            pass,
-            msg,
-        }
-    }
 }
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file,
-            self.line,
-            self.pass.name(),
-            self.msg
-        )
+        write!(f, "{}:{}: [blocking] {}", self.file, self.line, self.msg)
     }
 }
 
-/// A finding suppressed by a reasoned `lint:allow` — recorded rather
-/// than discarded so `--format json` can archive every escape hatch
-/// with its written justification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowedFinding {
-    pub finding: Finding,
-    pub reason: String,
-}
-
-/// What the passes produce: findings that gate the build, plus the
-/// suppressed ones with their reasons.
-#[derive(Debug, Default)]
-pub struct Outcome {
-    pub findings: Vec<Finding>,
-    pub allowed: Vec<AllowedFinding>,
-}
-
-/// Collector the passes write into. `push` is for findings no escape
-/// hatch can cover (missing files, malformed config entries);
-/// everything site-anchored goes through [`push_unless_allowed`].
-#[derive(Debug, Default)]
-pub struct Sink {
-    findings: Vec<Finding>,
-    allowed: Vec<AllowedFinding>,
-}
-
-impl Sink {
-    pub fn push(&mut self, f: Finding) {
-        self.findings.push(f);
-    }
-}
-
-/// Push `msg` unless an escape hatch covers it. Using the hatch without
-/// a reason is itself a finding: the whole point is a written record of
-/// why the invariant doesn't apply. A reasoned allow is recorded in the
-/// outcome's `allowed` list.
+/// Push `msg` unless a reasoned `lint:allow(blocking)` covers it. Using
+/// the hatch without a reason is itself a finding: the whole point is a
+/// written record of why the invariant doesn't apply.
 pub(crate) fn push_unless_allowed(
     file: &SourceFile,
-    sink: &mut Sink,
-    pass: Pass,
+    findings: &mut Vec<Finding>,
     line: u32,
     msg: String,
 ) {
-    match file.allow_for(pass.name(), line) {
-        Some(a) if !a.reason.is_empty() => sink.allowed.push(AllowedFinding {
-            finding: Finding::new(&file.rel, line, pass, msg),
-            reason: a.reason.clone(),
-        }),
-        Some(a) => sink.findings.push(Finding::new(
-            &file.rel,
+    let (line, msg) = match file.allow_for("blocking", line) {
+        Some(a) if !a.reason.is_empty() => return,
+        Some(a) => (
             a.line,
-            pass,
-            format!(
-                "`lint:allow({})` requires a reason: `// lint:allow({}): <why>`",
-                pass.name(),
-                pass.name()
-            ),
-        )),
-        None => sink.findings.push(Finding::new(&file.rel, line, pass, msg)),
-    }
+            "`lint:allow(blocking)` requires a reason: `// lint:allow(blocking): <why>`".into(),
+        ),
+        None => (line, msg),
+    };
+    findings.push(Finding {
+        file: file.rel.clone(),
+        line,
+        msg,
+    });
 }
 
-/// Run all passes on the workspace rooted at `root` (the directory
-/// holding `lint.toml`). Findings come back sorted by file, line, pass.
+/// Run the blocking pass on the workspace rooted at `root`. Findings
+/// come back sorted by file and line.
 pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
-    run_outcome(root).map(|o| o.findings)
-}
-
-/// Like [`run`] but with an explicit configuration (fixture tests use
-/// this to point at mini-trees).
-pub fn run_with_config(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
-    run_outcome_with_config(root, cfg).map(|o| o.findings)
-}
-
-/// Run all passes and return both active and suppressed findings — the
-/// full record `--format json` renders.
-pub fn run_outcome(root: &Path) -> Result<Outcome, String> {
-    let cfg_path = root.join("lint.toml");
-    let text =
-        std::fs::read_to_string(&cfg_path).map_err(|e| format!("{}: {e}", cfg_path.display()))?;
-    let cfg = Config::parse(&text)?;
-    run_outcome_with_config(root, &cfg)
-}
-
-/// [`run_outcome`] with an explicit configuration.
-pub fn run_outcome_with_config(root: &Path, cfg: &Config) -> Result<Outcome, String> {
     let files = load_workspace(root)?;
-    let mut sink = Sink::default();
-
-    for f in &files {
-        if in_panic_scope(f, cfg) {
-            passes::panic_path::check(f, &mut sink);
-        }
-    }
-    passes::wire::check(&files, cfg, &mut sink);
-    passes::locks::check(&files, cfg, &mut sink);
-    passes::hygiene::check(&files, cfg, &mut sink);
-    passes::blocking::check(&files, cfg, &mut sink);
-    passes::stats::check(&files, cfg, &mut sink);
-
-    let sort_key = |f: &Finding| (f.file.clone(), f.line, f.pass, f.msg.clone());
-    let mut findings = sink.findings;
-    findings.sort_by_key(sort_key);
+    let mut findings = blocking::check(&files);
+    findings.sort();
     findings.dedup();
-    let mut allowed = sink.allowed;
-    allowed.sort_by_key(|a| (sort_key(&a.finding), a.reason.clone()));
-    allowed.dedup();
-    Ok(Outcome { findings, allowed })
+    Ok(findings)
 }
 
-fn in_panic_scope(f: &SourceFile, cfg: &Config) -> bool {
-    if cfg.panic_exclude.iter().any(|p| p == &f.rel) {
-        return false;
-    }
-    cfg.panic_crates
-        .iter()
-        .any(|c| f.rel.starts_with(&format!("crates/{c}/src/")))
-}
-
-/// Load every `.rs` file under `src/` and `crates/*/src/`, skipping
-/// `target/`, `shims/` (offline stand-ins for crates-io, not our code),
-/// and this crate's own `fixtures/`. Files are lexed and classified on
-/// scoped threads — the crate stays zero-dependency — and returned in
-/// deterministic path order regardless of which worker parsed what.
+/// Load every `.rs` file under `src/` and `crates/*/src/` (the call
+/// graph spans the whole workspace), skipping `target/` and this
+/// crate's own `fixtures/`, in deterministic path order.
 fn load_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let top_src = root.join("src");
-    if top_src.is_dir() {
-        collect_rs(&top_src, &mut paths)?;
-    }
+    let mut dirs = vec![root.join("src")];
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let entries =
             std::fs::read_dir(&crates_dir).map_err(|e| format!("{}: {e}", crates_dir.display()))?;
         for entry in entries {
-            let entry = entry.map_err(|e| e.to_string())?;
-            let src = entry.path().join("src");
-            if src.is_dir() {
-                collect_rs(&src, &mut paths)?;
-            }
+            dirs.push(entry.map_err(|e| e.to_string())?.path().join("src"));
         }
     }
-    paths.sort();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8);
-    let chunk = paths.len().div_ceil(workers).max(1);
-    let parsed: Vec<Vec<Result<SourceFile, String>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = paths
-            .chunks(chunk)
-            .map(|chunk_paths| {
-                s.spawn(move || {
-                    chunk_paths
-                        .iter()
-                        .map(|p| load_one(root, p))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(_) => vec![Err("source parser worker panicked".to_string())],
-            })
-            .collect()
-    });
-    let mut files = Vec::with_capacity(paths.len());
-    for r in parsed.into_iter().flatten() {
-        files.push(r?);
+    let mut paths: Vec<PathBuf> = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs(dir, &mut paths)?;
     }
-    Ok(files)
-}
-
-fn load_one(root: &Path, p: &Path) -> Result<SourceFile, String> {
-    let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-    let rel = p
-        .strip_prefix(root)
-        .unwrap_or(p)
-        .to_string_lossy()
-        .replace('\\', "/");
-    Ok(SourceFile::parse(&rel, &text))
+    paths.sort();
+    paths
+        .iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
+            let rel = p
+                .strip_prefix(root)
+                .unwrap_or(p)
+                .to_string_lossy()
+                .replace('\\', "/");
+            Ok(SourceFile::parse(&rel, &text))
+        })
+        .collect()
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {

@@ -1,103 +1,30 @@
-#![deny(unsafe_op_in_unsafe_fn, unused_must_use)]
-//! CLI wrapper: `cargo run -p dvw-lint [-- --root <dir>] [--format text|json]`.
+//! CLI wrapper: `cargo run -p dvw-lint`.
 //!
-//! Exit status 0 means the tree upholds every declared invariant; 1 means
-//! findings were printed (one `file:line: [pass] message` per line, or
-//! the JSON document with `--format json`); 2 means the linter itself
-//! could not run (missing/ malformed `lint.toml`).
+//! Exit status 0 means no guard is held across a blocking call in the
+//! service-path crates; 1 means findings were printed (one
+//! `file:line: [blocking] message` per line); 2 means the checker itself
+//! could not read the tree.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
-enum Format {
-    Text,
-    Json,
-}
-
 fn main() -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut format = Format::Text;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => match args.next() {
-                Some(v) => root = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("dvw-lint: --root requires a directory argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                other => {
-                    eprintln!(
-                        "dvw-lint: --format requires `text` or `json`, got {:?}",
-                        other.unwrap_or("nothing")
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!(
-                    "dvw-lint: workspace invariant checker\n\
-                     usage: dvw-lint [--root <workspace dir containing lint.toml>] \
-                     [--format text|json]\n\
-                     passes: panic-path, wire-protocol, lock-order, hygiene, blocking, stats\n\
-                     escape hatch: // lint:allow(<pass>): <reason>\n\
-                     --format json emits the stable findings document (active + allowed)"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("dvw-lint: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    match dvw_lint::run(&root) {
+        Ok(findings) if findings.is_empty() => {
+            println!("dvw-lint: clean ({})", root.display());
+            ExitCode::SUCCESS
         }
-    }
-    let root = root.unwrap_or_else(find_root);
-    match dvw_lint::run_outcome(&root) {
-        Ok(outcome) => {
-            match format {
-                Format::Json => print!("{}", dvw_lint::json::render(&outcome)),
-                Format::Text if outcome.findings.is_empty() => {
-                    println!("dvw-lint: clean ({})", root.display());
-                }
-                Format::Text => {
-                    for f in &outcome.findings {
-                        println!("{f}");
-                    }
-                }
+        Ok(findings) => {
+            for f in &findings {
+                println!("{f}");
             }
-            if outcome.findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("dvw-lint: {} finding(s)", outcome.findings.len());
-                ExitCode::FAILURE
-            }
+            eprintln!("dvw-lint: {} finding(s)", findings.len());
+            ExitCode::FAILURE
         }
         Err(e) => {
             eprintln!("dvw-lint: {e}");
             ExitCode::from(2)
         }
     }
-}
-
-/// Locate the workspace root: the nearest ancestor of the current
-/// directory containing `lint.toml`, falling back to the crate's own
-/// grandparent (so `cargo run -p dvw-lint` works from anywhere in-tree).
-fn find_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("lint.toml").is_file() {
-            return dir;
-        }
-        if !dir.pop() {
-            break;
-        }
-    }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from("."))
 }

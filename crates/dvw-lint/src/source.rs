@@ -1,9 +1,9 @@
 //! Per-file source model: tokens, test-region classification, and the
 //! `lint:allow` escape hatch.
 //!
-//! Test code is exempt from most passes (a test that `unwrap()`s is fine —
-//! a server path that does is a dropped frame for every client), so each
-//! file is classified once: lines inside `#[cfg(test)]` modules, `#[test]`
+//! Test code is exempt (a test that blocks under a guard stalls only
+//! itself — a server path that does stalls every client), so each file
+//! is classified once: lines inside `#[cfg(test)]` modules, `#[test]`
 //! / `#[bench]` functions, or files under `tests/` / `benches/` /
 //! `examples/` count as test lines.
 
@@ -24,8 +24,6 @@ pub struct SourceFile {
     pub rel: String,
     /// Code tokens (comments stripped).
     pub code: Vec<Tok>,
-    /// Comment tokens in source order.
-    pub comments: Vec<Tok>,
     /// 1-based lines that belong to test-only regions.
     pub test_lines: HashSet<u32>,
     /// Escape hatches keyed by the first *covered* line: an allow covers
@@ -36,14 +34,13 @@ pub struct SourceFile {
 
 impl SourceFile {
     pub fn parse(rel: &str, text: &str) -> SourceFile {
-        let toks = lex(text);
         let mut code = Vec::new();
-        let mut comments = Vec::new();
-        for t in toks {
-            if t.kind == TokKind::Comment {
-                comments.push(t);
-            } else {
+        let mut allows: HashMap<u32, Vec<Allow>> = HashMap::new();
+        for t in lex(text) {
+            if t.kind != TokKind::Comment {
                 code.push(t);
+            } else if let Some(a) = parse_allow(&t.text, t.line) {
+                allows.entry(a.line).or_default().push(a);
             }
         }
         let whole_file_test = rel.contains("/tests/")
@@ -55,16 +52,9 @@ impl SourceFile {
         } else {
             find_test_regions(&code)
         };
-        let mut allows: HashMap<u32, Vec<Allow>> = HashMap::new();
-        for c in &comments {
-            if let Some(a) = parse_allow(&c.text, c.line) {
-                allows.entry(a.line).or_default().push(a);
-            }
-        }
         SourceFile {
             rel: rel.to_string(),
             code,
-            comments,
             test_lines,
             allows,
         }
@@ -86,20 +76,6 @@ impl SourceFile {
             }
         }
         None
-    }
-
-    /// True when a comment containing `needle` appears within `window`
-    /// lines above `line` (or on `line` itself). Used for `SAFETY:`.
-    pub fn comment_near_above(&self, needle: &str, line: u32, window: u32) -> bool {
-        let lo = line.saturating_sub(window);
-        self.comments
-            .iter()
-            .any(|c| c.line >= lo && c.line <= line && c.text.contains(needle))
-    }
-
-    /// True when any comment in the file contains `needle`.
-    pub fn any_comment_contains(&self, needle: &str) -> bool {
-        self.comments.iter().any(|c| c.text.contains(needle))
     }
 }
 
@@ -253,20 +229,20 @@ mod tests {
 
     #[test]
     fn allow_parsing_and_coverage() {
-        let src = "// lint:allow(panic-path): bounded by caller\nfoo.unwrap();\nbar.unwrap(); // lint:allow(panic-path): checked above\n";
+        let src = "// lint:allow(blocking): bounded by caller\nfoo.recv();\nbar.recv(); // lint:allow(blocking): checked above\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(f.allow_for("panic-path", 2).is_some());
-        assert!(f.allow_for("panic-path", 3).is_some());
-        assert!(f.allow_for("lock-order", 2).is_none());
+        assert!(f.allow_for("blocking", 2).is_some());
+        assert!(f.allow_for("blocking", 3).is_some());
+        assert!(f.allow_for("hygiene", 2).is_none());
     }
 
     #[test]
     fn allow_without_reason_is_flagged_by_caller() {
         let f = SourceFile::parse(
             "crates/x/src/lib.rs",
-            "foo.unwrap(); // lint:allow(panic-path)\n",
+            "foo.recv(); // lint:allow(blocking)\n",
         );
-        let a = f.allow_for("panic-path", 1).unwrap();
+        let a = f.allow_for("blocking", 1).unwrap();
         assert!(a.reason.is_empty());
     }
 

@@ -156,7 +156,10 @@ impl BlendedPairSoA {
     /// operation sequence is exactly the scalar `acc += value * w[c]`
     /// chain in ascending corner order.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "three SoA position lanes, three output lanes and the alive mask"
+    )]
     pub fn sample_batch_blended(
         &self,
         px: &[f32],
@@ -214,7 +217,10 @@ impl BlendedPairSoA {
     /// with `is_x86_feature_detected!`).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "three SoA position lanes, three output lanes and the alive mask"
+    )]
     unsafe fn batch_kernel_avx2(
         &self,
         px: &[f32],
@@ -258,13 +264,14 @@ impl BlendedPairSoA {
                 (dims.nj - 1) as f32,
                 (dims.ni - 1) as f32,
             );
+            #[expect(
+                clippy::cast_possible_wrap,
+                reason = "grid extents are node counts, far below i32::MAX"
+            )]
             let max_cell = _mm_set_epi32(
                 i32::MAX,
-                // lint:allow(panic-path): grid extents are node counts, far below i32::MAX.
                 dims.nk as i32 - 2,
-                // lint:allow(panic-path): see above — small node count.
                 dims.nj as i32 - 2,
-                // lint:allow(panic-path): see above — small node count.
                 dims.ni as i32 - 2,
             );
             let ones = _mm_set1_ps(1.0);
@@ -302,11 +309,10 @@ impl BlendedPairSoA {
                 let w = _mm256_set_m128(_mm_mul_ps(xy4, fz4), _mm_mul_ps(xy4, gz4));
                 // Corner-order accumulation; pad lanes stay zero.
                 let mut acc = _mm256_setzero_ps();
-                for c in 0..8 {
-                    let node = &window[offs[c]];
+                for (&off, lane) in offs.iter().zip(0i32..) {
+                    let node = &window[off];
                     let v = core::arch::x86_64::_mm256_loadu_ps(node.0.as_ptr());
-                    // lint:allow(panic-path): c is a corner index in 0..8.
-                    let wc = _mm256_permutevar8x32_ps(w, _mm256_set1_epi32(c as i32));
+                    let wc = _mm256_permutevar8x32_ps(w, _mm256_set1_epi32(lane));
                     acc = _mm256_add_ps(acc, _mm256_mul_ps(v, wc));
                 }
                 // acc = [ax, bx, ay, by, az, bz, 0, 0] → blended output.
@@ -324,7 +330,10 @@ impl BlendedPairSoA {
 
     /// Portable body of [`BlendedPairSoA::sample_batch_blended`] — the
     /// reference recurrence the AVX lanes reproduce.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "three SoA position lanes, three output lanes and the alive mask"
+    )]
     fn batch_kernel_portable(
         &self,
         px: &[f32],

@@ -168,6 +168,10 @@ impl Dataset {
         if !(0.0..=(self.timesteps.len().saturating_sub(1)) as f32).contains(&t) {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "t is checked to lie in [0, len - 1] above"
+        )]
         let t0 = (t as usize).min(self.timesteps.len().saturating_sub(1));
         let t1 = (t0 + 1).min(self.timesteps.len() - 1);
         let f = t - t0 as f32;

@@ -112,6 +112,10 @@ impl Dims {
     /// high boundary use the last full cell (the usual trilinear-sampling
     /// convention). Returns `None` when the coordinate is outside the grid.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "p is inside the grid, so each axis floors to a node index"
+    )]
     pub fn cell_of(&self, p: Vec3) -> Option<CellCoords> {
         if !self.contains_grid_coord(p) || !self.supports_interpolation() {
             return None;

@@ -39,12 +39,12 @@ const FORMAT_VERSION: u32 = 1;
 /// header by name. Grid and meta files stay at version 1 — their layout
 /// is unchanged.
 ///
-/// This constant must change iff the container layout changes; dvw-lint's
-/// wire pass pins it against `lint.toml` the same way PROTOCOL_VERSION is
-/// pinned (a bump requires the layout-change marker named there).
-// format:layout-change — version 3 stores chunks as 3-D Lorenzo residuals
-// bit-packed per 8-value block (method 2) in place of XOR-delta → byte
-// transpose → LZ (method 1, retired).
+/// Version 3 stores chunks as 3-D Lorenzo residuals bit-packed per
+/// 8-value block (method 2) in place of XOR-delta → byte transpose → LZ
+/// (method 1, retired). This constant must change iff the container
+/// layout changes, and never with `PROTOCOL_VERSION`: a small v3
+/// container's bytes are pinned, with both numbers, by
+/// `tests/golden_bytes.rs`.
 pub const DATASET_FORMAT_VERSION: u32 = 3;
 
 /// Chunking granularity in values (64 KiB of raw f32 per chunk; four
@@ -135,9 +135,8 @@ fn write_plane(w: &mut impl Write, field: &[Vec3], get: impl Fn(&Vec3) -> f32) -
 fn read_plane(r: &mut impl Read, field: &mut [Vec3], set: impl Fn(&mut Vec3, f32)) -> Result<()> {
     let mut bytes = vec![0u8; field.len() * 4];
     r.read_exact(&mut bytes)?;
-    for (v, chunk) in field.iter_mut().zip(bytes.chunks_exact(4)) {
-        // lint:allow(panic-path): chunks_exact(4) yields exactly 4 bytes.
-        set(v, f32::from_le_bytes(chunk.try_into().unwrap()));
+    for (v, chunk) in field.iter_mut().zip(bytes.as_chunks::<4>().0) {
+        set(v, f32::from_le_bytes(*chunk));
     }
     Ok(())
 }

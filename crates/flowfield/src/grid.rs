@@ -220,6 +220,10 @@ impl CurvilinearGrid {
     pub fn locate(&self, p_physical: Vec3) -> Option<Vec3> {
         let dims = self.dims();
         // Coarse scan: nearest node (subsampled for large grids).
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a cube root of the point count, far below usize::MAX"
+        )]
         let stride = ((dims.point_count() as f64).powf(1.0 / 3.0) as usize / 16).max(1);
         let mut best = Vec3::ZERO;
         let mut best_d = f32::INFINITY;

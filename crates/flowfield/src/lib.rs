@@ -1,4 +1,3 @@
-#![deny(unsafe_op_in_unsafe_fn, unused_must_use)]
 //! Curvilinear grids, unsteady velocity fields and the on-disk dataset
 //! format for the distributed virtual windtunnel.
 //!

@@ -67,11 +67,19 @@ pub const TABLE3_BENCH_TIMES: [f64; 5] = [0.25, 0.19, 0.13, 0.10, 0.05];
 /// Largest timestep loadable within the reaction budget at a given disk
 /// bandwidth — §5.1's "three and a quarter megabytes in 1/8th of a
 /// second" observation.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "floors a rate to whole bytes; `as` saturates"
+)]
 pub fn max_timestep_bytes_within_budget(bandwidth_bytes_per_sec: f64, budget: Duration) -> u64 {
     (bandwidth_bytes_per_sec * budget.as_secs_f64()) as u64
 }
 
 /// Maximum grid points streamable at `fps` given a disk bandwidth.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "floors a rate to whole points; `as` saturates"
+)]
 pub fn max_grid_points(bandwidth_bytes_per_sec: f64, fps: f64) -> u64 {
     (bandwidth_bytes_per_sec / (fps * BYTES_PER_PARTICLE as f64)) as u64
 }

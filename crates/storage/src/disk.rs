@@ -5,7 +5,7 @@
 //! timestep] in 1/8th of a second. Thus datasets whose timesteps are this
 //! size are limited only by the disk storage space." (§5.1)
 
-use crate::{StoreIoStats, TimestepStore};
+use crate::{elapsed_us, StoreIoStats, TimestepStore};
 use flowfield::{format, CurvilinearGrid, DatasetMeta, FieldError, Result, VectorField};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
@@ -146,10 +146,6 @@ impl DiskStore {
         }
         Ok(())
     }
-}
-
-fn elapsed_us(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 impl TimestepStore for DiskStore {

@@ -290,6 +290,10 @@ impl<R: TimestepReader> TimestepReader for FaultyDisk<R> {
             }
             DiskFaultAction::Torn { frac } => {
                 self.torn_injected.fetch_add(1, Ordering::Relaxed);
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "frac is a fraction of the length, so the product fits"
+                )]
                 let keep = ((data.len() as f64 * frac) as usize).clamp(1, data.len() - 1);
                 data.truncate(keep);
                 Ok(data)

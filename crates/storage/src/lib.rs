@@ -1,4 +1,3 @@
-#![deny(unsafe_op_in_unsafe_fn, unused_must_use)]
 //! Timestep storage for datasets larger than memory.
 //!
 //! §5.1 of the paper: "The problem of large data sets can be handled in a
@@ -45,6 +44,13 @@ pub use simdisk::{DiskModel, SimulatedDisk};
 
 use flowfield::{DatasetMeta, Result, VectorField, VectorFieldSoA};
 use std::sync::Arc;
+use std::time::Instant;
+
+/// Microseconds since `since`, saturating at `u64::MAX` instead of
+/// truncating the `u128`: the one conversion every stage timer uses.
+pub fn elapsed_us(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
 
 /// Cumulative I/O-path counters a store (or store stack) reports for
 /// observability. Wrappers aggregate their own contribution on top of the
@@ -67,13 +73,36 @@ pub struct StoreIoStats {
 
 impl StoreIoStats {
     /// Component-wise sum (wrapper + inner contributions).
+    ///
+    /// `other` is destructured without `..`, so a field added to the
+    /// struct and not summed here is a compile error, or an unused
+    /// binding that the `-D warnings` clippy gate rejects. A fold that
+    /// drops a counter does not build:
+    ///
+    /// ```compile_fail
+    /// #![deny(warnings, unused)]
+    /// #[derive(Default)]
+    /// struct Agg { a: u64, b: u64 }
+    /// fn plus(s: Agg, other: Agg) -> Agg {
+    ///     let Agg { a, b } = other;
+    ///     Agg { a: s.a + a, b: s.b } // `b` is never summed
+    /// }
+    /// let t = plus(Agg::default(), Agg { a: 1, b: 2 });
+    /// assert_eq!((t.a, t.b), (1, 0));
+    /// ```
     #[must_use]
     pub fn plus(self, other: StoreIoStats) -> StoreIoStats {
+        let StoreIoStats {
+            io_wait_us,
+            decode_us,
+            prefetch_hits,
+            prefetch_misses,
+        } = other;
         StoreIoStats {
-            io_wait_us: self.io_wait_us.saturating_add(other.io_wait_us),
-            decode_us: self.decode_us.saturating_add(other.decode_us),
-            prefetch_hits: self.prefetch_hits.saturating_add(other.prefetch_hits),
-            prefetch_misses: self.prefetch_misses.saturating_add(other.prefetch_misses),
+            io_wait_us: self.io_wait_us.saturating_add(io_wait_us),
+            decode_us: self.decode_us.saturating_add(decode_us),
+            prefetch_hits: self.prefetch_hits.saturating_add(prefetch_hits),
+            prefetch_misses: self.prefetch_misses.saturating_add(prefetch_misses),
         }
     }
 }
@@ -100,18 +129,21 @@ pub struct StoreHealthStats {
 }
 
 impl StoreHealthStats {
-    /// Component-wise sum (wrapper + inner contributions).
+    /// Component-wise sum (wrapper + inner contributions), exhaustive
+    /// like [`StoreIoStats::plus`].
     #[must_use]
     pub fn plus(self, other: StoreHealthStats) -> StoreHealthStats {
+        let StoreHealthStats {
+            retried_reads,
+            salvaged_chunks,
+            zero_filled_chunks,
+            quarantined_steps,
+        } = other;
         StoreHealthStats {
-            retried_reads: self.retried_reads.saturating_add(other.retried_reads),
-            salvaged_chunks: self.salvaged_chunks.saturating_add(other.salvaged_chunks),
-            zero_filled_chunks: self
-                .zero_filled_chunks
-                .saturating_add(other.zero_filled_chunks),
-            quarantined_steps: self
-                .quarantined_steps
-                .saturating_add(other.quarantined_steps),
+            retried_reads: self.retried_reads.saturating_add(retried_reads),
+            salvaged_chunks: self.salvaged_chunks.saturating_add(salvaged_chunks),
+            zero_filled_chunks: self.zero_filled_chunks.saturating_add(zero_filled_chunks),
+            quarantined_steps: self.quarantined_steps.saturating_add(quarantined_steps),
         }
     }
 

@@ -124,6 +124,10 @@ impl Prefetcher {
                 failed: 0,
             }),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn fails only on resource exhaustion at startup; fail fast before any frame is served"
+        )]
         let handles = (0..workers)
             .map(|n| {
                 let shared = Arc::clone(&shared);
@@ -164,7 +168,6 @@ impl Prefetcher {
                             }
                         }
                     })
-                    // lint:allow(panic-path): thread spawn fails only on resource exhaustion at startup; fail fast before any frame is served
                     .expect("spawn prefetch thread")
             })
             .collect();
@@ -385,7 +388,10 @@ impl Drop for Prefetcher {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // tests sleep to let real threads make progress
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests sleep to let real threads make progress"
+)]
 mod tests {
     use super::*;
     use crate::{DiskModel, MemoryStore, SimulatedDisk};

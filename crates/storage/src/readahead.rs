@@ -56,12 +56,21 @@ impl<S: TimestepStore + 'static> ReadAhead<S> {
 
     /// The window of timestep indices predicted from `anchor` along
     /// `stride` (wrapping), nearest first.
+    #[expect(
+        clippy::cast_possible_wrap,
+        clippy::cast_possible_truncation,
+        reason = "timestep indices and counts are far below i64::MAX"
+    )]
     fn window(&self, anchor: usize, stride: i64, len: i64) -> Vec<usize> {
         (1..=self.depth as i64)
             .map(|n| (anchor as i64 + stride * n).rem_euclid(len) as usize)
             .collect()
     }
 
+    #[expect(
+        clippy::cast_possible_wrap,
+        reason = "timestep indices and counts are far below i64::MAX"
+    )]
     fn predict_and_request(&self, index: usize) {
         let len = self.inner.timestep_count() as i64;
         if len <= 1 {
@@ -127,6 +136,10 @@ impl<S: TimestepStore + 'static> TimestepStore for ReadAhead<S> {
         self.inner.health_stats()
     }
 
+    #[expect(
+        clippy::cast_possible_wrap,
+        reason = "timestep indices and counts are far below i64::MAX"
+    )]
     fn hint_direction(&self, direction: i64) {
         let len = self.inner.timestep_count() as i64;
         if direction == 0 || len <= 1 {
@@ -162,7 +175,10 @@ impl<S: TimestepStore + 'static> TimestepStore for ReadAhead<S> {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // tests sleep to let real threads make progress
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests sleep to let real threads make progress"
+)]
 mod tests {
     use super::*;
     use crate::{DiskModel, MemoryStore, SimulatedDisk};

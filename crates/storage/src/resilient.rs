@@ -22,7 +22,7 @@
 //! replays the schedule and checks the counters exactly.
 
 use crate::faulty::{FileReader, TimestepReader};
-use crate::{StoreHealthStats, StoreIoStats, TimestepStore};
+use crate::{elapsed_us, StoreHealthStats, StoreIoStats, TimestepStore};
 use flowfield::format::{self, FieldHealth};
 use flowfield::{CurvilinearGrid, DatasetMeta, FieldError, Result, VectorField};
 use parking_lot::Mutex;
@@ -207,8 +207,11 @@ impl<R: TimestepReader> ResilientStore<R> {
     /// Backoff before retry number `retry` (0-based): capped exponential
     /// scaled by a seeded uniform draw from `[1 - jitter, 1]`.
     fn backoff(&self, retry: u32) -> Duration {
-        // lint:allow(panic-path): clamped to 63, which fits in i32.
-        let factor = self.cfg.multiplier.max(1.0).powi(retry.min(63) as i32);
+        let factor = self
+            .cfg
+            .multiplier
+            .max(1.0)
+            .powi(i32::try_from(retry).map_or(63, |r| r.min(63)));
         let raw = self.cfg.initial_backoff.as_secs_f64() * factor;
         let capped = raw.min(self.cfg.max_backoff.as_secs_f64());
         let jitter = self.cfg.jitter.clamp(0.0, 1.0);
@@ -224,9 +227,10 @@ impl<R: TimestepReader> ResilientStore<R> {
         if d.is_zero() {
             return;
         }
-        #[allow(clippy::disallowed_methods)]
-        // Retry backoff: the fetch caller (prefetch worker or the server's
-        // compute path) is already prepared to block on device I/O here.
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "retry backoff: the fetch caller (prefetch worker or the server's compute path) is already prepared to block on device I/O here"
+        )]
         std::thread::sleep(d);
     }
 
@@ -271,10 +275,6 @@ impl<R: TimestepReader> ResilientStore<R> {
         }
         bad
     }
-}
-
-fn elapsed_us(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 impl<R: TimestepReader> TimestepStore for ResilientStore<R> {

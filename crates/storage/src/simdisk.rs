@@ -92,8 +92,10 @@ impl<S: TimestepStore> SimulatedDisk<S> {
         let elapsed = start.elapsed();
         if budget > elapsed {
             let pause = budget - elapsed;
-            #[allow(clippy::disallowed_methods)]
-            // simulated disk latency is the entire point of simdisk
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "simulated disk latency is the entire point of simdisk"
+            )]
             std::thread::sleep(pause);
             self.slept_us.fetch_add(
                 u64::try_from(pause.as_micros()).unwrap_or(u64::MAX),

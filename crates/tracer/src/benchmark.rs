@@ -139,6 +139,10 @@ pub fn run_kernel(
 /// Table 3's derivation: given a measured benchmark time for
 /// `bench_particles` particles, the maximum particles sustainable inside
 /// `budget`, assuming linear scaling.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "floors a rate to whole particles; `as` saturates at usize::MAX"
+)]
 pub fn max_particles(bench_time: Duration, bench_particles: usize, budget: Duration) -> usize {
     if bench_time.is_zero() {
         return usize::MAX;

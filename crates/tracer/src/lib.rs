@@ -1,4 +1,3 @@
-#![deny(unsafe_op_in_unsafe_fn, unused_must_use)]
 //! Flow-visualization tools for the distributed virtual windtunnel.
 //!
 //! §2.1 of the paper defines the three tools, all built on injecting

@@ -125,12 +125,21 @@ pub struct AdvanceStats {
 impl AdvanceStats {
     /// Merge another advance's stats into this one (per-frame totals
     /// across many rakes).
+    /// `other` is destructured without `..`, so a new field that is not
+    /// folded here fails to build or to pass the `-D warnings` gate.
     pub fn accumulate(&mut self, other: AdvanceStats) {
-        self.sample_ns += other.sample_ns;
-        self.integrate_ns += other.integrate_ns;
-        self.compact_ns += other.compact_ns;
-        self.inject_ns += other.inject_ns;
-        self.stepped += other.stepped;
+        let AdvanceStats {
+            sample_ns,
+            integrate_ns,
+            compact_ns,
+            inject_ns,
+            stepped,
+        } = other;
+        self.sample_ns += sample_ns;
+        self.integrate_ns += integrate_ns;
+        self.compact_ns += compact_ns;
+        self.inject_ns += inject_ns;
+        self.stepped += stepped;
     }
 }
 
@@ -428,7 +437,10 @@ impl Streakline {
         for (sid, &seed) in self.seeds.iter().enumerate() {
             if let Some(p) = domain.canonicalize(seed) {
                 for _ in 0..self.cfg.inject_per_frame {
-                    // lint:allow(panic-path): seed counts are set via a u32 wire field
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "seed counts are set via a u32 wire field"
+                    )]
                     self.pool.push(p, 0, sid as u32);
                 }
             }

@@ -1,4 +1,3 @@
-#![deny(unsafe_op_in_unsafe_fn, unused_must_use)]
 //! 3-D linear algebra substrate for the distributed virtual windtunnel.
 //!
 //! The 1992 system manipulated three kinds of geometric state:

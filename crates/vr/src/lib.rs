@@ -1,4 +1,3 @@
-#![deny(unsafe_op_in_unsafe_fn, unused_must_use)]
 //! Virtual-environment substrate: the hardware of §3, simulated.
 //!
 //! The 1992 interface was a boom-mounted stereo CRT display (BOOM), a VPL

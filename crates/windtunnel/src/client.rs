@@ -330,11 +330,14 @@ impl ResilientClient {
     /// Session metadata from the most recent handshake. Note the
     /// `user_id` changes across reconnects — each dial is a new dlib
     /// session.
+    #[expect(
+        clippy::expect_used,
+        reason = "the HELLO hook populates this before connect() returns, on every dial"
+    )]
     pub fn hello(&self) -> HelloReply {
         self.hello
             .lock()
             .clone()
-            // lint:allow(panic-path): the HELLO hook populates this before connect() returns, on every dial
             .expect("handshake ran during connect")
     }
 
@@ -478,7 +481,10 @@ impl Drop for WindtunnelClient {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // tests sleep to let real threads make progress
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests sleep to let real threads make progress"
+)]
 mod tests {
     use super::*;
     use crate::compute::ComputeConfig;

@@ -9,6 +9,10 @@
 //! or the persistent particle system (streaklines), then convert all
 //! geometry to physical space for the wire.
 
+// A per-frame service file: a debug print here is a latency spike for
+// every client (stderr is a blocking global lock).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use crate::env::{EnvironmentState, RakeId};
 use crate::proto::{GeometryFrame, PathKind, PathMsg, RakeMsg, UserMsg};
 use flowfield::{BlendedPairSoA, CurvilinearGrid, FieldError, VectorField};
@@ -16,7 +20,7 @@ use rayon::IntoParallelIterator;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use storage::TimestepStore;
+use storage::{elapsed_us, TimestepStore};
 use tracer::{
     trace_batch_physical, AdvanceStats, Domain, Integrator, Polyline, Streakline, StreaklineConfig,
     ToolKind, TraceConfig,
@@ -116,6 +120,10 @@ impl ToolEngines {
         }
         // Bracketing pair and blend factor for the fractional time.
         let t = env.time.time().max(0.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "t is non-negative; `as` saturates and min() clamps to the last step"
+        )]
         let t0 = (t.floor() as usize).min(count - 1);
         let t1 = (t0 + 1).min(count - 1);
         let alpha = if t1 == t0 { 0.0 } else { t - t0 as f32 };
@@ -399,7 +407,7 @@ impl GeometryCache {
         let Ok(fetched) = fetch_with_substitution(store, timestep) else {
             return 0;
         };
-        let fetch_us = fetch_started.elapsed().as_micros() as u64;
+        let fetch_us = elapsed_us(fetch_started);
         let mut rakes = Vec::new();
         for (id, entry) in streamlines {
             if pending() {
@@ -466,7 +474,7 @@ fn trace_streamlines(
             points,
         })
         .collect();
-    (paths, t0.elapsed().as_micros() as u64)
+    (paths, elapsed_us(t0))
 }
 
 /// One cache miss queued for re-tracing: rake id, the new cache key,
@@ -499,7 +507,7 @@ pub fn update_geometry(
         Some(a) => a.fetched.clone(),
         None => fetch_with_substitution(store, timestep)?,
     };
-    stats.fetch_us = fetch_started.elapsed().as_micros() as u64;
+    stats.fetch_us = elapsed_us(fetch_started);
     if let Some(a) = &ahead {
         (stats.fetch_us, stats.ahead_us) = (a.fetch_us, a.fetch_us);
     }
@@ -564,7 +572,7 @@ pub fn update_geometry(
                     if let Some(streak) = engines.streaks.get_mut(&id) {
                         streak.filaments_into(&mut fils);
                     }
-                    stats.integrate_us += t0.elapsed().as_micros() as u64;
+                    stats.integrate_us += elapsed_us(t0);
                     fils
                 } else {
                     Vec::new()
@@ -602,7 +610,7 @@ pub fn update_geometry(
                             cfg.trace.integrator,
                             cfg.trace.dt,
                         )?;
-                        integrate_us += t0.elapsed().as_micros() as u64;
+                        integrate_us += elapsed_us(t0);
                         if line.is_empty() {
                             continue;
                         }
@@ -612,7 +620,7 @@ pub fn update_geometry(
                             kind: PathKind::ParticlePath,
                             points: grid.path_to_physical(&line),
                         });
-                        map_us += t1.elapsed().as_micros() as u64;
+                        map_us += elapsed_us(t1);
                     }
                 }
                 ToolKind::Streakline => {
@@ -631,7 +639,7 @@ pub fn update_geometry(
                             points: filament,
                         });
                     }
-                    map_us += t1.elapsed().as_micros() as u64;
+                    map_us += elapsed_us(t1);
                 }
             }
             Ok((id, key, paths, integrate_us, map_us))
@@ -651,8 +659,11 @@ pub fn update_geometry(
         .map(|(id, pose)| UserMsg { id, head: *pose })
         .collect();
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "timestep indexes the store; HELLO advertises the count as u32"
+    )]
     let frame = GeometryFrame {
-        // lint:allow(panic-path): timestep indexes the store; HELLO advertises the count as u32
         timestep: timestep as u32,
         time: env.time.time(),
         revision: env.revision(),

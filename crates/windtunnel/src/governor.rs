@@ -55,6 +55,10 @@ impl FrameGovernor {
             // Overshoot: cut proportionally (Table 3's linear-scaling
             // assumption, inverted), with a floor so the scene never
             // disappears entirely.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a ratio below 1; f32 is the detail factor's own precision"
+            )]
             let cut = (b / t) as f32;
             self.detail = (self.detail * cut).max(self.min_detail);
         } else if t < 0.5 * b && self.detail < 1.0 {
@@ -66,6 +70,10 @@ impl FrameGovernor {
 
     /// Apply the detail factor to a point budget (≥ 2 so a path is still
     /// a line).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "detail is at most 1, so the product is at most max_points"
+    )]
     pub fn scaled_points(&self, max_points: usize) -> usize {
         ((max_points as f32 * self.detail) as usize).max(2)
     }

@@ -1,4 +1,3 @@
-#![deny(unsafe_op_in_unsafe_fn, unused_must_use)]
 //! The distributed virtual windtunnel — §5 of the paper.
 //!
 //! "Each workstation reads its input devices and sends their commands to

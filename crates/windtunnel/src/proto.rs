@@ -26,10 +26,12 @@ use vr::Gesture;
 
 /// Wire-protocol version, checked during the hello handshake: a client
 /// and server that disagree fail fast with a clear error instead of
-/// mis-decoding geometry.
-// wire:non-additive — v3 bit-packs the point codec's residuals per 8-point
-// block (v2: 1–4 bytes each; v1: the 12 B/point slab), DESIGN.md §6.8; an
-// older peer cannot read a path.
+/// mis-decoding geometry. v3 bit-packs the point codec's residuals per
+/// 8-point block (v2: 1–4 bytes each; v1: the 12 B/point slab), DESIGN.md
+/// §6.8; an older peer cannot read a path. Every message's layout is
+/// pinned, with this number, by the golden bytes in
+/// `tests/golden_bytes.rs`: a non-additive change regenerates them and
+/// bumps this.
 pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Procedure ids registered on the windtunnel's dlib server.
@@ -838,7 +840,10 @@ fn rope(b: BytesMut, split: usize, blobs: impl Iterator<Item = Bytes>) -> Payloa
 /// once per content change and every reply that needs it carries the
 /// cached bytes themselves. Concatenated, the rope is byte-identical to
 /// `DeltaFrame::encode` on the equivalent typed value.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per wire field of the reply header"
+)]
 pub fn splice_delta(
     keyframe: bool,
     timestep: u32,
@@ -980,44 +985,105 @@ pub struct FrameStats {
 }
 
 impl FrameStats {
+    /// Encoded size: 33 `u64` and 3 `u32` fields, little-endian, in
+    /// declaration order.
+    pub const WIRE_LEN: usize = 276;
+
+    /// Encode in declaration order. `self` is destructured without `..`,
+    /// so a field added to the struct and not written here fails to
+    /// build, or leaves an unused binding that the `-D warnings` clippy
+    /// gate rejects; the order itself is pinned by the golden bytes in
+    /// `tests/golden_bytes.rs`. An encode that drops a field does not
+    /// build:
+    ///
+    /// ```compile_fail
+    /// #![deny(warnings, unused)]
+    /// struct Wire { a: u64, b: u64, c: u64 }
+    /// fn encode(w: &Wire, out: &mut Vec<u8>) {
+    ///     let Wire { a, b, c } = *w;
+    ///     out.extend_from_slice(&a.to_le_bytes());
+    ///     out.extend_from_slice(&b.to_le_bytes()); // `c` is never written
+    /// }
+    /// let mut out = Vec::new();
+    /// encode(&Wire { a: 1, b: 2, c: 3 }, &mut out);
+    /// assert_eq!(out.len(), 16);
+    /// ```
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(120);
-        b.put_u64_le_(self.revision);
-        b.put_u64_le_(self.fetch_us);
-        b.put_u64_le_(self.integrate_us);
-        b.put_u64_le_(self.map_us);
-        b.put_u64_le_(self.encode_us);
-        b.put_u32_le_(self.geom_hits);
-        b.put_u32_le_(self.geom_misses);
-        b.put_u64_le_(self.cum_geom_hits);
-        b.put_u64_le_(self.cum_geom_misses);
-        b.put_u64_le_(self.cum_frame_hits);
-        b.put_u64_le_(self.cum_frames);
-        b.put_u64_le_(self.chunk_encode_us);
-        b.put_u64_le_(self.delta_encode_us);
-        b.put_u64_le_(self.cum_chunk_encodes);
-        b.put_u64_le_(self.cum_keyframes);
-        b.put_u64_le_(self.cum_delta_frames);
-        b.put_u64_le_(self.cum_bytes_sent);
-        b.put_u32_le_(self.live_sessions);
-        b.put_u64_le_(self.cum_reaped_sessions);
-        b.put_u64_le_(self.cum_shed_calls);
-        b.put_u64_le_(self.streak_sample_us);
-        b.put_u64_le_(self.streak_integrate_us);
-        b.put_u64_le_(self.streak_compact_us);
-        b.put_u64_le_(self.streak_inject_us);
-        b.put_u64_le_(self.streak_particles_per_s);
-        b.put_u64_le_(self.cum_io_wait_us);
-        b.put_u64_le_(self.cum_decode_us);
-        b.put_u64_le_(self.cum_prefetch_hits);
-        b.put_u64_le_(self.cum_prefetch_misses);
-        b.put_u64_le_(self.cum_store_retries);
-        b.put_u64_le_(self.cum_salvaged_chunks);
-        b.put_u64_le_(self.cum_zero_filled_chunks);
-        b.put_u64_le_(self.cum_quarantined_steps);
-        b.put_u64_le_(self.cum_substituted_fetches);
-        b.put_u64_le_(self.cum_ahead_traced);
-        b.put_u64_le_(self.cum_ahead_adopted);
+        let FrameStats {
+            revision,
+            fetch_us,
+            integrate_us,
+            map_us,
+            encode_us,
+            geom_hits,
+            geom_misses,
+            cum_geom_hits,
+            cum_geom_misses,
+            cum_frame_hits,
+            cum_frames,
+            chunk_encode_us,
+            delta_encode_us,
+            cum_chunk_encodes,
+            cum_keyframes,
+            cum_delta_frames,
+            cum_bytes_sent,
+            live_sessions,
+            cum_reaped_sessions,
+            cum_shed_calls,
+            streak_sample_us,
+            streak_integrate_us,
+            streak_compact_us,
+            streak_inject_us,
+            streak_particles_per_s,
+            cum_io_wait_us,
+            cum_decode_us,
+            cum_prefetch_hits,
+            cum_prefetch_misses,
+            cum_store_retries,
+            cum_salvaged_chunks,
+            cum_zero_filled_chunks,
+            cum_quarantined_steps,
+            cum_substituted_fetches,
+            cum_ahead_traced,
+            cum_ahead_adopted,
+        } = *self;
+        let mut b = BytesMut::with_capacity(Self::WIRE_LEN);
+        b.put_u64_le_(revision);
+        b.put_u64_le_(fetch_us);
+        b.put_u64_le_(integrate_us);
+        b.put_u64_le_(map_us);
+        b.put_u64_le_(encode_us);
+        b.put_u32_le_(geom_hits);
+        b.put_u32_le_(geom_misses);
+        b.put_u64_le_(cum_geom_hits);
+        b.put_u64_le_(cum_geom_misses);
+        b.put_u64_le_(cum_frame_hits);
+        b.put_u64_le_(cum_frames);
+        b.put_u64_le_(chunk_encode_us);
+        b.put_u64_le_(delta_encode_us);
+        b.put_u64_le_(cum_chunk_encodes);
+        b.put_u64_le_(cum_keyframes);
+        b.put_u64_le_(cum_delta_frames);
+        b.put_u64_le_(cum_bytes_sent);
+        b.put_u32_le_(live_sessions);
+        b.put_u64_le_(cum_reaped_sessions);
+        b.put_u64_le_(cum_shed_calls);
+        b.put_u64_le_(streak_sample_us);
+        b.put_u64_le_(streak_integrate_us);
+        b.put_u64_le_(streak_compact_us);
+        b.put_u64_le_(streak_inject_us);
+        b.put_u64_le_(streak_particles_per_s);
+        b.put_u64_le_(cum_io_wait_us);
+        b.put_u64_le_(cum_decode_us);
+        b.put_u64_le_(cum_prefetch_hits);
+        b.put_u64_le_(cum_prefetch_misses);
+        b.put_u64_le_(cum_store_retries);
+        b.put_u64_le_(cum_salvaged_chunks);
+        b.put_u64_le_(cum_zero_filled_chunks);
+        b.put_u64_le_(cum_quarantined_steps);
+        b.put_u64_le_(cum_substituted_fetches);
+        b.put_u64_le_(cum_ahead_traced);
+        b.put_u64_le_(cum_ahead_adopted);
         b.freeze()
     }
 
@@ -1090,9 +1156,10 @@ mod tests {
     use super::*;
     use bytes::BufMut;
 
-    /// Runtime twin of dvw-lint's wire-protocol pass: every application
-    /// proc id is unique and stays out of the `0xFFFF_0000..` range that
-    /// dlib reserves for built-ins such as `PROC_PING`.
+    /// What `DlibServer::register` checks at startup, without a server:
+    /// every application proc id is unique and stays out of the
+    /// `0xFFFF_0000..` range that dlib reserves for built-ins such as
+    /// `PROC_PING`.
     #[test]
     fn proc_ids_unique_and_unreserved() {
         let procs = [
@@ -1299,7 +1366,7 @@ mod tests {
             }
 
             #[test]
-            fn prop_stats_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
+            fn prop_stats_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..FrameStats::WIRE_LEN + 8)) {
                 let _ = FrameStats::decode(&bytes);
             }
 
@@ -1722,6 +1789,7 @@ mod tests {
             cum_ahead_traced: 14,
             cum_ahead_adopted: 13,
         };
+        assert_eq!(s.encode().len(), FrameStats::WIRE_LEN);
         assert_eq!(FrameStats::decode(&s.encode()).unwrap(), s);
         assert_eq!(s.total_us(), 5_025);
         assert!(s.store_degraded());

@@ -174,8 +174,10 @@ pub fn replay(
             let target = ev.at.div_f32(speed);
             let elapsed = start.elapsed();
             if target > elapsed {
-                #[allow(clippy::disallowed_methods)]
-                // playback pacing: sleeping to honor the recorded frame cadence is the feature
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "playback pacing: sleeping to honor the recorded frame cadence is the feature"
+                )]
                 std::thread::sleep(target - elapsed);
             }
         }

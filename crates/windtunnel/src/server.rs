@@ -9,6 +9,10 @@
 //! the latest state: the typed frame is computed once per environment
 //! revision and every reply is assembled around the shared chunk cache.
 
+// A per-frame service file: a debug print here is a latency spike for
+// every client (stderr is a blocking global lock).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use crate::compute::{update_geometry, ComputeConfig, GeometryCache, ToolEngines};
 use crate::env::{EnvironmentState, RakeId, UserId};
 use crate::governor::FrameGovernor;
@@ -28,7 +32,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use storage::TimestepStore;
+use storage::{elapsed_us, TimestepStore};
 use tracer::Domain;
 use vecmath::Pose;
 
@@ -256,6 +260,10 @@ impl ServerState {
         // A clock at rate 0 (either sign) is not moving: no hint.
         let rate = self.env.time.rate();
         if self.env.time.is_playing() && rate != 0.0 {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "signum is ±1, or 0 for NaN"
+            )]
             self.store.hint_direction(rate.signum() as i64);
         }
         self.env.time.advance();
@@ -407,7 +415,7 @@ impl ServerState {
             encoded += 1;
         }
         if encoded > 0 {
-            self.stats.chunk_encode_us = started.elapsed().as_micros() as u64;
+            self.stats.chunk_encode_us = elapsed_us(started);
             self.stats.cum_chunk_encodes += encoded;
         }
     }
@@ -465,7 +473,7 @@ impl ServerState {
             return Err("no frame computed yet".into());
         };
         let reply = splice_frame(frame, self.chunk_blobs(|_| true));
-        self.stats.encode_us = assemble_started.elapsed().as_micros() as u64;
+        self.stats.encode_us = elapsed_us(assemble_started);
         self.stats.cum_bytes_sent += reply.len() as u64;
         if !fresh {
             self.stats.cum_frame_hits += 1;
@@ -520,7 +528,7 @@ impl ServerState {
             &frame.users,
         );
 
-        self.stats.delta_encode_us = assemble_started.elapsed().as_micros() as u64;
+        self.stats.delta_encode_us = elapsed_us(assemble_started);
         if keyframe {
             self.stats.cum_keyframes += 1;
         } else {
@@ -727,7 +735,7 @@ mod tests {
         fn fetch(&self, index: usize) -> Result<Arc<VectorField>, FieldError> {
             self.fetches.lock().push(index);
             let latency = self.latency_ms.load(std::sync::atomic::Ordering::Relaxed);
-            #[allow(clippy::disallowed_methods)] // simulated disk latency
+            #[allow(clippy::disallowed_methods, reason = "simulated disk latency")]
             std::thread::sleep(Duration::from_millis(latency));
             self.inner.fetch(index)
         }

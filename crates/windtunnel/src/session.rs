@@ -13,6 +13,10 @@
 //! through a mailbox, and the render loop reads that mailbox at whatever
 //! rate the display runs — never blocking on the network.
 
+// A per-frame service file: a debug print here is a latency spike for
+// every client (stderr is a blocking global lock).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use crate::client::ResilientClient;
 use crate::proto::{Command, GeometryFrame, HelloReply};
 use crossbeam_channel::{unbounded, Receiver, Sender};
@@ -96,8 +100,7 @@ impl BackgroundSession {
                             mb.errors.fetch_add(1, Ordering::Relaxed);
                             // Back off briefly; the server may be mid-
                             // restart or the link congested.
-                            #[allow(clippy::disallowed_methods)]
-                            // reconnect backoff between dial attempts; nothing else runs on this thread
+                            #[allow(clippy::disallowed_methods, reason = "reconnect backoff between dial attempts; nothing else runs on this thread")]
                             std::thread::sleep(std::time::Duration::from_millis(20));
                         }
                     }
@@ -164,7 +167,10 @@ impl Drop for BackgroundSession {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // tests sleep to let real threads make progress
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests sleep to let real threads make progress"
+)]
 mod tests {
     use super::*;
     use crate::proto::TimeCommand;

@@ -56,6 +56,10 @@ impl TimeController {
     }
 
     /// Current integer timestep (nearest stored field).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "current is clamped to the stored range; `as` saturates and min() clamps"
+    )]
     pub fn timestep(&self) -> usize {
         (self.current.round() as usize).min(self.len - 1)
     }

@@ -6,8 +6,9 @@
 //! equality stays value equality — and never a panic.
 //!
 //! The session's other messages — every `Command` variant, both
-//! `FrameRequest`s, a `DeltaRequest` and a `HelloReply` — are held to the
-//! same rule under one to three bit flips or one appended byte.
+//! `FrameRequest`s, a `DeltaRequest`, a `HelloReply` and a full-length
+//! `FrameStats` — are held to the same rule under one to three bit flips
+//! or one appended byte.
 //!
 //! Case count honors `PROPTEST_CASES` and the inputs `PROPTEST_SEED`
 //! (check.sh runs this at the default seed and at a fresh one).
@@ -25,7 +26,7 @@ use vecmath::{Pose, Quat, Vec3};
 use vr::Gesture;
 use windtunnel::compute::{compute_frame, ComputeConfig, ToolEngines};
 use windtunnel::proto::{
-    DeltaFrame, DeltaRequest, FrameRequest, GeometryFrame, HelloReply, RakeChunkMsg,
+    DeltaFrame, DeltaRequest, FrameRequest, FrameStats, GeometryFrame, HelloReply, RakeChunkMsg,
 };
 use windtunnel::{Command, EnvironmentState, TimeCommand};
 
@@ -127,11 +128,12 @@ enum Msg {
     Frame,
     Delta,
     Hello,
+    Stats,
 }
 
 /// One encoding of every request and reply a session exchanges besides
 /// the frames: each `Command` variant (each time sub-command too), both
-/// `FrameRequest`s, a `DeltaRequest` and a `HelloReply`.
+/// `FrameRequest`s, a `DeltaRequest`, a `HelloReply` and a `FrameStats`.
 fn session_messages() -> Vec<(Msg, Bytes)> {
     let v = Vec3::new(1.5, -2.0, 0.25);
     let commands = [
@@ -184,6 +186,11 @@ fn session_messages() -> Vec<(Msg, Bytes)> {
         user_id: 2,
     };
     out.push((Msg::Hello, hello.encode()));
+    // Every byte distinct, so every field is: a flip lands in a field a
+    // short random buffer would never reach, up to the trailing-byte check.
+    let pattern: Vec<u8> = (1..=FrameStats::WIRE_LEN).map(|i| i as u8).collect();
+    let stats = FrameStats::decode(&pattern).unwrap();
+    out.push((Msg::Stats, stats.encode()));
     out
 }
 
@@ -194,6 +201,7 @@ fn reencode(msg: Msg, bytes: &[u8]) -> Result<Bytes, DlibError> {
         Msg::Frame => FrameRequest::decode(bytes)?.encode(),
         Msg::Delta => DeltaRequest::decode(bytes)?.encode(),
         Msg::Hello => HelloReply::decode(bytes)?.encode(),
+        Msg::Stats => FrameStats::decode(bytes)?.encode(),
     })
 }
 

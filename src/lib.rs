@@ -1,4 +1,3 @@
-#![deny(unsafe_op_in_unsafe_fn, unused_must_use)]
 //! Umbrella crate for the Distributed Virtual Windtunnel reproduction.
 //!
 //! Re-exports every workspace crate under one roof so examples and

@@ -8,7 +8,7 @@
 use crate::env::RakeId;
 use crate::proto::{
     Command, DeltaFrame, DeltaRequest, FrameRequest, FrameStats, GeometryFrame, HelloReply,
-    PathKind, PathMsg, PROC_COMMAND, PROC_FRAME, PROC_FRAME_DELTA, PROC_HELLO, PROC_STATS,
+    Lattice, PathKind, PathMsg, PROC_COMMAND, PROC_FRAME, PROC_FRAME_DELTA, PROC_HELLO, PROC_STATS,
 };
 use dlib::{ClientConfig, DlibClient, DlibError, ReconnectingClient, Result, RetryPolicy};
 use parking_lot::Mutex;
@@ -54,6 +54,8 @@ pub struct RetainedScene {
     /// Per-rake paths, ascending by rake id to match the server's frame
     /// assembly order.
     chunks: BTreeMap<RakeId, Vec<PathMsg>>,
+    /// The lattice the retained paths were decoded on (`None`: no scene).
+    lattice: Option<Lattice>,
 }
 
 impl RetainedScene {
@@ -83,6 +85,12 @@ impl RetainedScene {
                     delta.baseline, self.revision
                 )));
             }
+            if self.lattice != Some(delta.lattice) {
+                return Err(DlibError::Protocol(format!(
+                    "delta on {:?} patches a scene on {:?}",
+                    delta.lattice, self.lattice
+                )));
+            }
             for id in &delta.tombstones {
                 self.chunks.remove(id);
             }
@@ -91,6 +99,7 @@ impl RetainedScene {
             self.chunks.insert(chunk.rake_id, chunk.paths);
         }
         self.revision = delta.revision;
+        self.lattice = Some(delta.lattice);
         let paths: Vec<PathMsg> = self
             .chunks
             .values()
@@ -100,6 +109,7 @@ impl RetainedScene {
             timestep: delta.timestep,
             time: delta.time,
             revision: delta.revision,
+            lattice: delta.lattice,
             rakes: delta.rakes,
             paths,
             users: delta.users,

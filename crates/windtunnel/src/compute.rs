@@ -14,7 +14,7 @@
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 use crate::env::{EnvironmentState, RakeId};
-use crate::proto::{GeometryFrame, PathKind, PathMsg, RakeMsg, UserMsg};
+use crate::proto::{GeometryFrame, Lattice, PathKind, PathMsg, RakeMsg, UserMsg};
 use flowfield::{BlendedPairSoA, CurvilinearGrid, FieldError, VectorField};
 use rayon::IntoParallelIterator;
 use std::collections::HashMap;
@@ -667,6 +667,7 @@ pub fn update_geometry(
         timestep: timestep as u32,
         time: env.time.time(),
         revision: env.revision(),
+        lattice: Lattice::for_bounds(&grid.bounds()),
         rakes,
         paths: Vec::new(),
         users,

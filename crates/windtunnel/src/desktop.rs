@@ -196,7 +196,7 @@ impl DesktopInput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::RakeMsg;
+    use crate::proto::{Lattice, RakeMsg};
     use tracer::ToolKind;
     use vecmath::Pose;
     use vr::stereo::StereoCamera;
@@ -206,6 +206,7 @@ mod tests {
             timestep: 0,
             time: 0.0,
             revision: 1,
+            lattice: Lattice::for_extent(1.0),
             rakes: vec![RakeMsg {
                 id: 1,
                 a: Vec3::new(-1.0, 0.0, 0.0),

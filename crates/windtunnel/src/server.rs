@@ -390,7 +390,7 @@ impl ServerState {
         let Some(frame) = self.frame.as_ref() else {
             return;
         };
-        let revision = frame.revision;
+        let (revision, lattice) = (frame.revision, frame.lattice);
         let live: Vec<RakeId> = frame.rakes.iter().map(|r| r.id).collect();
         self.chunk_cache.retain(|id, _| live.contains(id));
         let started = Instant::now();
@@ -403,7 +403,7 @@ impl ServerState {
                 continue;
             }
             let mut b = BytesMut::new();
-            RakeChunkMsg::encode_parts(&mut b, id, revision, paths);
+            RakeChunkMsg::encode_parts(&mut b, lattice, id, revision, paths);
             self.chunk_cache.insert(
                 id,
                 ChunkEntry {
@@ -522,6 +522,7 @@ impl ServerState {
             frame.time,
             revision,
             baseline,
+            frame.lattice,
             &frame.rakes,
             chunk_blobs,
             &tombstones,

@@ -17,7 +17,7 @@ use vecmath::{Mat4, Pose, Quat, Vec3};
 use vr::stereo::StereoCamera;
 use vr::{Framebuffer, Rgb};
 use windtunnel::client::{head_glyph, Palette};
-use windtunnel::proto::{PathMsg, RakeMsg, UserMsg};
+use windtunnel::proto::{Lattice, PathMsg, RakeMsg, UserMsg};
 use windtunnel::{GeometryFrame, PathKind, WindtunnelClient};
 
 const SELF_USER: u64 = 7;
@@ -99,6 +99,7 @@ fn random_frame(rng: &mut StdRng) -> GeometryFrame {
         timestep: 0,
         time: 0.0,
         revision: 1,
+        lattice: Lattice::for_extent(4.0),
         rakes,
         paths,
         users,

@@ -19,8 +19,8 @@ use dvw::tracer::ToolKind;
 use dvw::vecmath::{Pose, Quat, Vec3};
 use dvw::vr::Gesture;
 use dvw::windtunnel::proto::{
-    DeltaFrame, DeltaRequest, FrameRequest, FrameStats, GeometryFrame, HelloReply, PathKind,
-    PathMsg, RakeChunkMsg, RakeMsg, UserMsg, PROTOCOL_VERSION,
+    DeltaFrame, DeltaRequest, FrameRequest, FrameStats, GeometryFrame, HelloReply, Lattice,
+    PathKind, PathMsg, RakeChunkMsg, RakeMsg, UserMsg, PROTOCOL_VERSION,
 };
 use dvw::windtunnel::{Command, TimeCommand};
 
@@ -216,6 +216,7 @@ fn frames_match_golden_bytes() {
         timestep: 11,
         time: 11.5,
         revision: 42,
+        lattice: Lattice::new(-14).unwrap(),
         rakes: rakes.clone(),
         paths: paths.clone(),
         users: users.clone(),
@@ -226,6 +227,7 @@ fn frames_match_golden_bytes() {
         time: 12.25,
         revision: 43,
         baseline: 0,
+        lattice: Lattice::new(-13).unwrap(),
         rakes,
         chunks: vec![
             RakeChunkMsg {

@@ -46,10 +46,11 @@ fn table1_all_rows() {
 fn table1_100k_row_encoded_fits_a_third_of_the_vme_link() {
     // Table 1's last row — 100 000 particles, 1.2 MB a frame at 12 B a
     // point — is what §5.1 found sitting at the 13 MB/s VME limit. Traced
-    // streamlines through the point codec (DESIGN.md §6.8) take at most
-    // 4.4 B a point, so the 100 200 points of the `playback_wire` scene
-    // at 10 frames/s need under a third of that link. (A reduced grid of
-    // the same topology keeps this quick in debug builds.)
+    // streamlines on the 2^-14 lattice through the point codec (DESIGN.md
+    // §6.8) take at most 2 B a point, so the 100 200 points of the
+    // `playback_wire` scene at 10 frames/s need under a third of that
+    // link. (A reduced grid of the same topology keeps this quick in
+    // debug builds.)
     use bench_support::{small_spec, tapered_dataset, traced_frame};
     use dvw::storage::MemoryStore;
 
@@ -60,10 +61,67 @@ fn table1_100k_row_encoded_fits_a_third_of_the_vme_link() {
     let points = frame.particle_count();
     assert_eq!(points, 100_000, "a seed left the grid");
     let per_point = frame.encode().len() as f64 / points as f64;
-    assert!(per_point <= 4.4, "{per_point:.3} B/point");
+    assert!(per_point <= 2.0, "{per_point:.3} B/point");
     let vme = 13.0 * 1024.0 * 1024.0;
     let needed = 100_200.0 * per_point * c::TARGET_FPS;
     assert!(needed < vme / 3.0, "{needed:.0} B/s of {vme:.0}");
+}
+
+#[test]
+fn wire_lattice_rounds_below_the_integrators_own_error() {
+    // The wire sends path points rounded to the bounds lattice (DESIGN.md
+    // §6.8): q = 2^(⌈log2 M⌉ − 18), 2^-14 for the tapered cylinder's far
+    // radius of 12. Its worst rounding, q/2 a coordinate, must not exceed
+    // the median global position error RK2 already makes at the served
+    // dt of 0.02, estimated the Richardson way: a second-order path at dt
+    // is off by ≈ 4/3 of its distance from the same path at dt/2.
+    use bench_support::{small_spec, tapered_dataset};
+    use dvw::storage::MemoryStore;
+    use dvw::tracer::{Domain, Rake, ToolKind, TraceConfig};
+    use dvw::vecmath::Vec3;
+    use dvw::windtunnel::compute::{compute_frame, ComputeConfig, ToolEngines};
+    use dvw::windtunnel::proto::Lattice;
+    use dvw::windtunnel::EnvironmentState;
+
+    let dataset = tapered_dataset(small_spec(), 1);
+    let grid = dataset.grid().clone();
+    let store = MemoryStore::from_dataset(dataset);
+    let mut env = EnvironmentState::new(1);
+    for y in [-1.75, -0.6, 0.7, 1.75] {
+        let end = |z| grid.locate(Vec3::new(-2.6, y, z)).unwrap();
+        env.add_rake(Rake::new(end(1.0), end(7.0), 6, ToolKind::Streamline));
+    }
+    let trace = |dt, steps| {
+        let cfg = ComputeConfig {
+            trace: TraceConfig {
+                dt,
+                max_points: steps,
+                ..TraceConfig::default()
+            },
+            ..ComputeConfig::default()
+        };
+        let domain = Domain::o_grid(grid.dims());
+        compute_frame(&env, &mut ToolEngines::new(), &store, &grid, &domain, &cfg).unwrap()
+    };
+    let (coarse, fine) = (trace(0.02, 250), trace(0.01, 500));
+    let mut errors: Vec<f32> = coarse
+        .paths
+        .iter()
+        .zip(&fine.paths)
+        .flat_map(|(c, f)| c.points.iter().zip(f.points.iter().step_by(2)))
+        .skip(1)
+        .map(|(c, f)| c.distance(*f) * 4.0 / 3.0)
+        .collect();
+    assert!(errors.len() > 5_000, "{} points compared", errors.len());
+    errors.sort_by(f32::total_cmp);
+    let median = errors[errors.len() / 2];
+    let q = Lattice::for_bounds(&grid.bounds()).quantum();
+    assert_eq!(q, 2f32.powi(-14));
+    assert!(
+        q / 2.0 <= median,
+        "q/2 = {:e} above the median error {median:e}",
+        q / 2.0
+    );
 }
 
 #[test]

@@ -79,19 +79,23 @@ PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer -p dvw-
 # truncation/corruption rejected by name, never mis-decoded. Once at the
 # default seed here, once at the fresh seed below.
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --test codec_roundtrip
-# Wire point codec: bit-exact round trip on arbitrary bit patterns, equal
+# Wire point codec: bit-exact round trip on arbitrary u32 triples, equal
 # to its straight-line reference encoder, inside its size bounds, canonical,
-# and a named error on every truncation or malformed byte; then bit flips in
-# traced frames (full, keyframe, delta) and bit flips or an appended byte in
-# every command, frame/delta request and hello reply, rejected or
-# re-encoded exactly. Once at the default seed, once at a fresh one
+# and a named error on every truncation or malformed byte; the path lattice
+# idempotent and within q/2 on arbitrary f32 triples (NaN, infinities, -0.0,
+# far out of bounds) at every accepted exponent; then bit flips in traced
+# frames (full, keyframe, delta) and bit flips or an appended byte in every
+# command, frame/delta request, hello reply and lattice-edge frame, rejected
+# or re-encoded exactly. Once at the default seed, once at a fresh one
 # (echoed, so a failure replays).
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
+PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test lattice
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 seed=$(date +%s%N)
 echo "wire and field codecs, streak pair, frame-ahead twins: fresh PROPTEST_SEED=$seed"
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --test codec_roundtrip
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
+PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test lattice
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test streak_equiv
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --lib frame_ahead_twin

@@ -84,18 +84,63 @@ impl ColorMask {
     };
 }
 
+/// Pixels `lo..hi` a buffer may differ in from its last fill (none if lo ≥ hi).
+#[derive(Debug, Clone, Copy)]
+struct Span(usize, usize);
+
+impl Span {
+    const EMPTY: Span = Span(usize::MAX, 0);
+
+    fn union(self, other: Span) -> Span {
+        Span(self.0.min(other.0), self.1.max(other.1))
+    }
+
+    fn fill<T: Copy>(self, buf: &mut [T], v: T) {
+        if let Some(run) = buf.get_mut(self.0..self.1) {
+            run.fill(v);
+        }
+    }
+}
+
+/// A Z buffer, +∞ outside `dirty`.
+struct Depth {
+    z: Vec<f32>,
+    dirty: Span,
+}
+
+impl Depth {
+    const EMPTY: Depth = Depth {
+        z: Vec::new(),
+        dirty: Span::EMPTY,
+    };
+
+    /// +∞ at all `len` pixels, rewriting only the span drawn since the last.
+    fn reset(&mut self, len: usize) {
+        self.z.resize(len, f32::INFINITY);
+        self.dirty.fill(&mut self.z, f32::INFINITY);
+        self.dirty = Span::EMPTY;
+    }
+}
+
 /// RGB framebuffer with f32 Z-buffer (smaller z = nearer; z is the NDC
 /// depth in [-1, 1] after projection). Colour is three planes, so the two
 /// eye passes of [`render_anaglyph`] own disjoint bits.
+///
+/// A clear costs what was drawn, not the screen: the planes the last
+/// `clear` filled hold its colour outside `color_dirty`, and each Z buffer
+/// holds +∞ outside its own span.
 pub struct Framebuffer {
     width: usize,
     height: usize,
     r: Vec<u8>,
     g: Vec<u8>,
     b: Vec<u8>,
-    depth: Vec<f32>,
+    /// The last clear's colour and mask.
+    cleared: (Rgb, ColorMask),
+    color_dirty: Span,
+    depth: Depth,
     /// The right eye's Z while it draws; then the left eye's, for reuse.
-    spare_depth: Vec<f32>,
+    spare_depth: Depth,
     mask: ColorMask,
 }
 
@@ -107,8 +152,13 @@ impl Framebuffer {
             r: vec![0; width * height],
             g: vec![0; width * height],
             b: vec![0; width * height],
-            depth: vec![f32::INFINITY; width * height],
-            spare_depth: Vec::new(),
+            cleared: (Rgb::BLACK, ColorMask::ALL),
+            color_dirty: Span::EMPTY,
+            depth: Depth {
+                z: vec![f32::INFINITY; width * height],
+                dirty: Span::EMPTY,
+            },
+            spare_depth: Depth::EMPTY,
             mask: ColorMask::ALL,
         }
     }
@@ -132,35 +182,48 @@ impl Framebuffer {
     /// Clear color planes (honours the writemask, like the hardware) and
     /// the Z-buffer.
     pub fn clear(&mut self, color: Rgb) {
-        let target = self.target();
-        for (plane, v) in target.planes.into_iter().zip([color.r, color.g, color.b]) {
-            if let Some(plane) = plane {
-                plane.fill(v);
+        let len = self.width * self.height;
+        let region = if self.cleared == (color, self.mask) {
+            self.color_dirty
+        } else {
+            Span(0, len)
+        };
+        self.cleared = (color, self.mask);
+        self.color_dirty = Span::EMPTY;
+        self.draw(|t| {
+            for (plane, v) in t.planes.iter_mut().zip([color.r, color.g, color.b]) {
+                if let Some(plane) = plane {
+                    region.fill(plane, v);
+                }
             }
-        }
-        target.depth.fill(f32::INFINITY);
+        });
+        self.depth.reset(len);
     }
 
     /// Clear only the Z planes — the between-eyes step of §3.
     pub fn clear_depth(&mut self) {
-        self.depth.fill(f32::INFINITY);
+        self.depth.reset(self.width * self.height);
     }
 
-    /// The whole framebuffer as one pass sees it under the current mask.
-    fn target(&mut self) -> Target<'_> {
+    /// Runs `draw` on the whole framebuffer under the current mask, and
+    /// marks what it wrote.
+    fn draw(&mut self, draw: impl FnOnce(&mut Target)) {
         let m = self.mask;
         let planes = [(m.r, &mut self.r), (m.g, &mut self.g), (m.b, &mut self.b)];
-        Target {
-            width: self.width,
-            height: self.height,
-            depth: &mut self.depth,
-            planes: planes.map(|(on, plane)| on.then_some(&mut plane[..])),
-        }
+        let planes = planes.map(|(on, plane)| on.then_some(&mut plane[..]));
+        let mut target = Target::new(self.width, self.height, &mut self.depth.z, planes);
+        draw(&mut target);
+        let written = target.written;
+        self.color_dirty = self.color_dirty.union(written);
+        self.depth.dirty = self.depth.dirty.union(written);
     }
 
     /// Depth-tested, masked pixel write.
     pub fn set_pixel(&mut self, x: i32, y: i32, z: f32, c: Rgb) {
-        self.target().plot((x, y, z), c);
+        self.draw(|t| {
+            t.sample((x, y, z), c);
+            t.end_run(c);
+        });
     }
 
     pub fn pixel(&self, x: usize, y: usize) -> Rgb {
@@ -169,7 +232,7 @@ impl Framebuffer {
     }
 
     pub fn depth_at(&self, x: usize, y: usize) -> f32 {
-        self.depth[y * self.width + x]
+        self.depth.z[y * self.width + x]
     }
 
     fn colors(&self) -> impl Iterator<Item = Rgb> + '_ {
@@ -190,29 +253,24 @@ impl Framebuffer {
     /// Draw a depth-tested line between two screen-space points
     /// (x, y in pixels, z in NDC depth) with DDA interpolation.
     pub fn draw_line_screen(&mut self, a: (f32, f32, f32), b: (f32, f32, f32), c: Rgb) {
-        self.target().line(a, b, c);
+        self.draw(|t| {
+            t.line(a, b, c);
+            t.end_run(c);
+        });
     }
 
     /// Project a world-space point through `mvp` into (pixel x, pixel y,
     /// ndc z); `None` when behind the near plane (w ≤ ε).
     pub fn project(&self, mvp: &Mat4, p: Vec3) -> Option<(f32, f32, f32)> {
-        project(self.width, self.height, mvp, p)
+        let [x, y, z, w] = project_h(self.width, self.height, mvp, p);
+        in_front(w).then_some((x, y, z))
     }
 
     /// Draw a world-space polyline through an MVP matrix. Segments with an
     /// endpoint behind the eye are dropped (simple near-plane policy —
     /// adequate for path geometry that lives inside the scene).
     pub fn draw_polyline(&mut self, mvp: &Mat4, points: &[Vec3], color: Rgb) {
-        self.target().polyline(mvp, points, color);
-    }
-
-    /// Draw world-space points.
-    pub fn draw_points(&mut self, mvp: &Mat4, points: &[Vec3], color: Rgb) {
-        for &p in points {
-            if let Some((x, y, z)) = self.project(mvp, p) {
-                self.set_pixel(x.round() as i32, y.round() as i32, z, color);
-            }
-        }
+        self.draw(|t| t.polyline(mvp, points, color));
     }
 
     /// Fill a screen-space triangle with Z interpolation (barycentric
@@ -289,109 +347,170 @@ pub fn render_anaglyph<L: AsRef<[Vec3]> + Sync>(
     camera: &StereoCamera,
     polylines: &[(L, u8)],
 ) {
-    let mut right_depth = std::mem::take(&mut fb.spare_depth);
+    let mut right_depth = std::mem::replace(&mut fb.spare_depth, Depth::EMPTY);
     let eye = |depth, planes, eye, color: fn(u8) -> Rgb| {
-        let mut target = Target {
-            width: fb.width,
-            height: fb.height,
-            depth,
-            planes,
-        };
+        let mut target = Target::new(fb.width, fb.height, depth, planes);
         let mvp = camera.mvp(eye);
         for (line, shade) in polylines {
             target.polyline(&mvp, line.as_ref(), color(*shade));
         }
+        target.written
     };
-    std::thread::scope(|s| {
+    let left_written = std::thread::scope(|s| {
         s.spawn(|| {
-            right_depth.clear();
-            right_depth.resize(fb.width * fb.height, f32::INFINITY);
+            right_depth.reset(fb.width * fb.height);
             let planes = [None, Some(&mut fb.g[..]), Some(&mut fb.b[..])];
-            eye(&mut right_depth[..], planes, Eye::Right, Rgb::blue);
+            right_depth.dirty = eye(&mut right_depth.z[..], planes, Eye::Right, Rgb::blue);
         });
         let planes = [Some(&mut fb.r[..]), None, None];
-        eye(&mut fb.depth[..], planes, Eye::Left, Rgb::red);
+        eye(&mut fb.depth.z[..], planes, Eye::Left, Rgb::red)
     });
+    fb.color_dirty = fb.color_dirty.union(left_written).union(right_depth.dirty);
+    fb.depth.dirty = fb.depth.dirty.union(left_written);
     fb.spare_depth = std::mem::replace(&mut fb.depth, right_depth);
     fb.mask = ColorMask::ALL;
 }
 
-fn project(width: usize, height: usize, mvp: &Mat4, p: Vec3) -> Option<(f32, f32, f32)> {
+/// `p` through `mvp` to (pixel x, pixel y, ndc z, clip w).
+fn project_h(width: usize, height: usize, mvp: &Mat4, p: Vec3) -> [f32; 4] {
     let h = mvp.transform_point_h(p);
-    if h[3] <= 1.0e-6 {
-        return None;
-    }
     let ndc_x = h[0] / h[3];
     let ndc_y = h[1] / h[3];
     let ndc_z = h[2] / h[3];
-    Some((
+    [
         (ndc_x * 0.5 + 0.5) * (width as f32 - 1.0),
         (0.5 - ndc_y * 0.5) * (height as f32 - 1.0), // y down
         ndc_z,
-    ))
+        h[3],
+    ]
 }
 
-/// One pass's Z buffer and the colour planes (r, g, b) its mask lets through.
+/// Not behind the near plane: w > ε, or NaN.
+fn in_front(w: f32) -> bool {
+    w > 1.0e-6 || w.is_nan()
+}
+
+/// `x.round() as i32` exactly (half away from zero, saturating, NaN → 0)
+/// without libm: adding the largest f32 below ½, signed like x, carries a
+/// fraction of ½ or more past the next integer and no smaller one (checked
+/// for every f32 against `f32::round`); then the cast truncates.
+fn round(x: f32) -> i32 {
+    (x + 0.5f32.next_down().copysign(x)) as i32
+}
+
+/// `x.ceil() as i32` exactly (saturating, NaN → 0) without libm.
+fn ceil(x: f32) -> i32 {
+    let t = x as i32;
+    t.saturating_add(i32::from((t as f32) < x))
+}
+
+/// The colour planes (r, g, b) a pass's mask lets through.
+type Planes<'a> = [Option<&'a mut [u8]>; 3];
+
+/// One pass's Z buffer and colour planes.
 struct Target<'a> {
     width: usize,
     height: usize,
     depth: &'a mut [f32],
-    planes: [Option<&'a mut [u8]>; 3],
+    planes: Planes<'a>,
+    /// Every pixel written.
+    written: Span,
+    /// The run of samples on one pixel: its index (`usize::MAX`: none) and
+    /// the z its depth-tested writes would leave (NaN: none yet).
+    run: (usize, f32),
+    /// The current polyline's vertices through [`project_h`].
+    screen: Vec<[f32; 4]>,
 }
 
-impl Target<'_> {
-    fn plot(&mut self, (x, y, z): (i32, i32, f32), c: Rgb) {
+impl<'a> Target<'a> {
+    fn new(width: usize, height: usize, depth: &'a mut [f32], planes: Planes<'a>) -> Self {
+        Target {
+            width,
+            height,
+            depth,
+            planes,
+            written: Span::EMPTY,
+            run: (usize::MAX, f32::NAN),
+            screen: Vec::new(),
+        }
+    }
+
+    /// A depth-tested plot in colour `c`, folded into the run of samples on
+    /// its pixel; [`Target::end_run`] writes the run. Within one colour only
+    /// the order of writes to a pixel shows, and a run of depth-tested
+    /// writes leaves what one write of its last z comparing ≤ every earlier
+    /// one leaves: a ±0.0 tie goes to the later sample, a NaN z drops out.
+    fn sample(&mut self, (x, y, z): (i32, i32, f32), c: Rgb) {
         if x < 0 || y < 0 || x >= self.width as i32 || y >= self.height as i32 {
             return;
         }
         let idx = y as usize * self.width + x as usize;
-        if z <= self.depth[idx] {
+        if idx != self.run.0 {
+            self.end_run(c);
+            self.run.0 = idx;
+        }
+        let least = &mut self.run.1;
+        if z <= *least || least.is_nan() {
+            *least = z;
+        }
+    }
+
+    fn end_run(&mut self, c: Rgb) {
+        let (idx, z) = std::mem::replace(&mut self.run, (usize::MAX, f32::NAN));
+        if idx != usize::MAX && z <= self.depth[idx] {
             self.depth[idx] = z;
             for (plane, v) in self.planes.iter_mut().zip([c.r, c.g, c.b]) {
                 if let Some(plane) = plane {
                     plane[idx] = v;
                 }
             }
+            self.written = self.written.union(Span(idx, idx + 1));
         }
     }
 
     /// DDA: sample `s` of `steps` lands on `a + (b − a)·(s / steps)`, rounded.
     fn line(&mut self, a: (f32, f32, f32), b: (f32, f32, f32), c: Rgb) {
         let d = (b.0 - a.0, b.1 - a.1, b.2 - a.2);
-        let steps = d.0.abs().max(d.1.abs()).ceil() as i32;
-        if steps == 0 {
-            return self.plot((a.0.round() as i32, a.1.round() as i32, a.2), c);
+        let reach = d.0.abs().max(d.1.abs());
+        let at = |t: f32| (round(a.0 + d.0 * t), round(a.1 + d.1 * t), a.2 + d.2 * t);
+        if reach > 0.0 && reach <= 1.0 {
+            // One step, every segment of a dense path: `s / steps` is 0, 1.
+            self.sample(at(0.0), c);
+            return self.sample(at(1.0), c);
         }
-        let sample = |s: i32| {
-            let t = s as f32 / steps as f32;
-            let (x, y) = ((a.0 + d.0 * t).round(), (a.1 + d.1 * t).round());
-            (x as i32, y as i32, a.2 + d.2 * t)
-        };
+        let steps = ceil(reach);
+        if steps == 0 {
+            return self.sample((round(a.0), round(a.1), a.2), c);
+        }
+        let step = |s: i32| at(s as f32 / steps as f32);
         // Longer than the viewport (a point grazing the eye: ~1e8 px)?
         // Walk only the samples that land on it.
         let (mut first, mut last) = (1, i64::from(steps));
         if steps as usize > self.width.max(self.height) {
-            let (x0, x1) = on_screen(steps, self.width, |s| sample(s).0);
-            let (y0, y1) = on_screen(steps, self.height, |s| sample(s).1);
+            let (x0, x1) = on_screen(steps, self.width, |s| step(s).0);
+            let (y0, y1) = on_screen(steps, self.height, |s| step(s).1);
             (first, last) = (x0.max(y0), x1.min(y1));
         }
-        self.plot(sample(0), c);
+        self.sample(step(0), c);
         for s in first..=last {
-            self.plot(sample(s as i32), c);
+            self.sample(step(s as i32), c);
         }
     }
 
-    /// Projects each vertex once; a segment with an endpoint behind the
-    /// eye is dropped.
+    /// Projects the vertices in one pass, then draws each segment whose
+    /// endpoints are both in front of the eye.
     fn polyline(&mut self, mvp: &Mat4, points: &[Vec3], c: Rgb) {
-        let mut prev = None;
-        for &p in points {
-            let next = project(self.width, self.height, mvp, p);
-            if let (Some(a), Some(b)) = (prev, next) {
-                self.line(a, b, c);
+        self.screen.clear();
+        let (w, h) = (self.width, self.height);
+        self.screen
+            .extend(points.iter().map(|&p| project_h(w, h, mvp, p)));
+        for i in 1..self.screen.len() {
+            let ([ax, ay, az, aw], [bx, by, bz, bw]) = (self.screen[i - 1], self.screen[i]);
+            if in_front(aw) && in_front(bw) {
+                self.line((ax, ay, az), (bx, by, bz), c);
             }
-            prev = next;
         }
+        self.end_run(c);
     }
 }
 
@@ -425,6 +544,33 @@ fn bisect(steps: i32, p: impl Fn(i32) -> bool) -> i64 {
 mod tests {
     use super::*;
     use vecmath::Mat4;
+
+    #[test]
+    fn round_and_ceil_match_libm() {
+        // The edges (halves, the largest f32 below ½, where f32 turns
+        // integer, the i32 limits, ±∞, NaN, −0.0), then every 4099th f32.
+        let edges = [
+            0.5f32.next_down(),
+            0.5,
+            -0.5,
+            2.5,
+            -2.5,
+            8_388_607.5,
+            8_388_608.0,
+        ];
+        let limits = [2_147_483_520.0, 2_147_483_648.0, -2_147_483_648.0, -0.0];
+        let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let strided = (0..=u32::MAX).step_by(4099).map(f32::from_bits);
+        for x in edges
+            .into_iter()
+            .chain(limits)
+            .chain(specials)
+            .chain(strided)
+        {
+            assert_eq!(round(x), x.round() as i32, "round {x:e}");
+            assert_eq!(ceil(x), x.ceil() as i32, "ceil {x:e}");
+        }
+    }
 
     #[test]
     fn clear_fills_and_resets_depth() {

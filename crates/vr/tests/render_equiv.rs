@@ -252,3 +252,182 @@ fn non_finite_endpoints_match_the_oracle() {
     assert_eq!(fb.pixel(0, 5), Rgb::WHITE);
     assert_eq!(fb.count_pixels(|c| c == Rgb::WHITE), 1);
 }
+
+/// World (x, y, z) to pixel (x, y) and NDC depth 2z, every step exact
+/// on a 65×65 framebuffer for the dyadic inputs below: the `-0.0` terms
+/// keep a −0.0 z negative (for x, y ≥ 0), and |z| = 3e38 lands on ±∞.
+fn pixel_mvp() -> Mat4 {
+    Mat4 {
+        m: [
+            [1.0 / 32.0, 0.0, 0.0, -1.0],
+            [0.0, -1.0 / 32.0, 0.0, 1.0],
+            [-0.0, -0.0, 2.0, -0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ],
+    }
+}
+
+/// Draws `lines` through [`pixel_mvp`] on both renderers and compares.
+fn draw_pixel_lines(lines: &[Vec<Vec3>]) -> (Framebuffer, OracleFb) {
+    let mvp = pixel_mvp();
+    let mut fb = Framebuffer::new(65, 65);
+    let mut oracle = OracleFb::new(65, 65);
+    for (i, line) in lines.iter().enumerate() {
+        let c = Rgb::new(40 + i as u8, 255 - i as u8, 7 * i as u8);
+        fb.draw_polyline(&mvp, line, c);
+        oracle.draw_polyline(&mvp, line, c);
+        assert_same(&fb, &oracle, &format!("line {i}"));
+    }
+    (fb, oracle)
+}
+
+/// Segments whose longer screen axis spans exactly one pixel (one DDA
+/// step), just over one (two steps), and exactly zero (no step: the first
+/// endpoint alone), on half-pixel positions that round away from zero.
+#[test]
+fn one_step_boundaries_match_the_oracle() {
+    let p = |x: f32, y: f32| Vec3::new(x, y, 0.25);
+    let above = 1.0 + 1.0 / 1024.0;
+    let lines = [
+        vec![p(10.0, 10.0), p(11.0, 10.5), p(11.5, 11.5), p(12.5, 11.0)],
+        vec![
+            p(20.5, 5.0),
+            p(20.5 + above, 5.0),
+            p(20.5 + above, 5.0 + above),
+        ],
+        vec![p(30.0, 30.0), p(30.0, 30.0), p(30.5, 30.5), p(30.5, 30.5)],
+        vec![p(40.25, 2.0), p(40.25 + above, 2.5), p(40.25, 2.5 + above)],
+        vec![p(0.0, 0.0), p(-0.0, 0.0), p(0.5, -0.0), p(1.5, 0.0)],
+    ];
+    let (fb, _) = draw_pixel_lines(&lines);
+    // One step lights both endpoints' pixels; just over one lights the
+    // midpoint sample too; zero lights one pixel.
+    assert_ne!(fb.pixel(11, 11), Rgb::BLACK);
+    assert_ne!(fb.pixel(22, 5), Rgb::BLACK);
+    assert_ne!(fb.pixel(31, 31), Rgb::BLACK);
+    assert_eq!(fb.pixel(30, 30), fb.pixel(31, 31));
+}
+
+/// Runs of samples on one pixel whose depths tie at ±0.0 in either order,
+/// or are NaN (between two infinite endpoints, or ∞ − ∞): the fold into
+/// one write must leave the bit pattern the sequential writes leave.
+#[test]
+fn pixel_runs_with_signed_zero_ties_and_nan_match_the_oracle() {
+    let p = |x: f32, y: f32, z: f32| Vec3::new(x, y, z);
+    let lines = [
+        // Samples on (20, 20): 0.5, +0.0, then −0.0 (−0.0 + −3·0).
+        vec![
+            p(20.1, 20.0, 0.25),
+            p(20.2, 20.0, -0.0),
+            p(21.0, 20.0, -1.5),
+        ],
+        // On (24, 20): −0.0 then +0.0 (−0.0 + (+0.0)) — the later wins.
+        vec![
+            p(24.1, 20.0, -0.0),
+            p(24.2, 20.0, -1.5),
+            p(24.3, 20.0, -0.0),
+        ],
+        vec![p(26.2, 20.0, -0.0), p(26.4, 20.0, -0.0), p(27.0, 20.0, 0.0)],
+        // NaN and ∞ samples among finite ones on (30, 30).
+        vec![
+            p(30.0, 30.0, 0.25),
+            p(30.1, 30.0, 3.0e38),
+            p(30.2, 30.0, 3.0e38),
+            p(30.3, 30.0, -0.0),
+            p(30.4, 30.0, 0.0),
+            p(30.45, 30.0, -3.0e38),
+        ],
+        // Only NaN samples: nothing lands.
+        vec![p(40.0, 40.0, 3.0e38), p(40.1, 40.0, 3.0e38)],
+        // A NaN vertex (every coordinate NaN, pixel 0) inside a run.
+        vec![p(0.2, 0.0, 0.5), p(0.3, 0.0, f32::NAN), p(0.1, 0.0, -0.0)],
+    ];
+    let (fb, _) = draw_pixel_lines(&lines);
+    assert_eq!(fb.depth_at(20, 20).to_bits(), (-0.0f32).to_bits());
+    assert_eq!(fb.depth_at(40, 40), f32::INFINITY);
+    assert_eq!(fb.pixel(40, 40), Rgb::BLACK);
+}
+
+proptest! {
+    /// Random polylines crowded onto a few pixels, on a 1/8-pixel grid,
+    /// with depths drawn from ±0.0, ±∞, NaN and a few finite values: long
+    /// same-pixel runs, ties and every segment length from 0 to 3 steps.
+    #[test]
+    fn prop_crowded_pixel_runs_match_the_oracle(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let zs = [0.0, -0.0, 0.25, -0.25, 3.0e38, -3.0e38, f32::NAN];
+        let lines: Vec<Vec<Vec3>> = (0..rng.random_range(1..6))
+            .map(|_| {
+                (0..rng.random_range(0..24))
+                    .map(|_| {
+                        let x = 8.0 + rng.random_range(0..24) as f32 / 8.0;
+                        let y = 8.0 + rng.random_range(0..24) as f32 / 8.0;
+                        Vec3::new(x, y, zs[rng.random_range(0..zs.len())])
+                    })
+                    .collect()
+            })
+            .collect();
+        draw_pixel_lines(&lines);
+    }
+
+    /// Frame after frame on one framebuffer: clears to a repeated or new
+    /// colour under a repeated or new mask, stray pixels anywhere (also
+    /// outside everything drawn since the last clear), mono lines and
+    /// stereo frames, compared after every step. Exercises the clears and
+    /// Z resets that touch only what was drawn.
+    #[test]
+    fn prop_dirty_regions_across_frames_match_the_oracle(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (w, h) = (rng.random_range(1..80), rng.random_range(1..80));
+        let mut fb = Framebuffer::new(w, h);
+        let mut oracle = OracleFb::new(w, h);
+        let colours = [Rgb::BLACK, Rgb::new(9, 200, 31), random_rgb(&mut rng)];
+        let masks = [ColorMask::ALL, ColorMask::RED_ONLY, random_mask(&mut rng)];
+        for step in 0..24 {
+            match rng.random_range(0..6) {
+                0 | 1 => {
+                    let cam = random_camera(&mut rng, w, h);
+                    let lines = random_lines(&mut rng, &cam.head);
+                    let cost = oracle_samples(&oracle, &cam.mvp(Eye::Left), &lines)
+                        + oracle_samples(&oracle, &cam.mvp(Eye::Right), &lines);
+                    prop_assume!(cost < ORACLE_BUDGET);
+                    render_anaglyph(&mut fb, &cam, &lines);
+                    oracle::render_anaglyph(&mut oracle, &cam, &lines);
+                }
+                2 => {
+                    let c = colours[rng.random_range(0..colours.len())];
+                    fb.clear(c);
+                    oracle.clear(c);
+                }
+                3 => {
+                    let m = masks[rng.random_range(0..masks.len())];
+                    fb.set_mask(m);
+                    oracle.set_mask(m);
+                }
+                4 => {
+                    let (x, y) = (rng.random_range(0..w as i32), rng.random_range(0..h as i32));
+                    let z = rng.random_range(-1.0..1.0);
+                    let c = colours[rng.random_range(0..colours.len())];
+                    fb.set_pixel(x, y, z, c);
+                    oracle.set_pixel(x, y, z, c);
+                }
+                _ => {
+                    let cam = random_camera(&mut rng, w, h);
+                    let lines = random_lines(&mut rng, &cam.head);
+                    let mvp = cam.mvp(Eye::Left);
+                    prop_assume!(oracle_samples(&oracle, &mvp, &lines) < ORACLE_BUDGET);
+                    let c = random_rgb(&mut rng);
+                    for (line, _) in &lines {
+                        fb.draw_polyline(&mvp, line, c);
+                        oracle.draw_polyline(&mvp, line, c);
+                    }
+                    if rng.random() {
+                        fb.clear_depth();
+                        oracle.clear_depth();
+                    }
+                }
+            }
+            assert_same(&fb, &oracle, &format!("step {step}"));
+        }
+    }
+}

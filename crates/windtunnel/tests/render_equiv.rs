@@ -132,3 +132,41 @@ proptest! {
         prop_assert!(fb.count_pixels(|c| c.r > 0) > 0 && fb.count_pixels(|c| c.b > 0) > 0);
     }
 }
+
+/// The end-to-end benchmark's render step on its largest scene: a traced
+/// 100 k-point frame as the wire delivers it, drawn from the fixed
+/// three-quarter view (`benchmark/src/session.rs`) on a 640×480
+/// framebuffer, over two frames so the second clears what the first drew.
+#[test]
+fn traced_100k_frame_at_the_benchmark_camera_matches_the_oracle() {
+    use bench_support::{paper_spec, tapered_dataset, traced_frame};
+    use storage::MemoryStore;
+
+    let dataset = tapered_dataset(paper_spec(), 1);
+    let grid = dataset.grid().clone();
+    let bounds = grid.bounds();
+    let store = MemoryStore::from_dataset(dataset);
+    let traced = traced_frame(&store, &grid, 100_000);
+    let frame = GeometryFrame::decode(&traced.encode()).unwrap();
+    assert_eq!(frame.particle_count(), 100_000);
+
+    let (center, dist) = (bounds.center(), bounds.diagonal().max(1.0));
+    let eye = center + Vec3::new(-0.3, 0.5, 0.9) * dist;
+    let head = Pose::from_mat4(&Mat4::look_at(eye, center, Vec3::Y).inverse_rigid());
+    let mut cam = StereoCamera::new(head);
+    cam.aspect = 640.0 / 480.0;
+    cam.fovy = 0.9;
+    let palette = Palette::default();
+    let mut fb = Framebuffer::new(640, 480);
+    let mut want = OracleFb::new(640, 480);
+    for _ in 0..2 {
+        fb.clear(Rgb::BLACK);
+        want.clear(Rgb::BLACK);
+        WindtunnelClient::render_stereo_for_user(&frame, &mut fb, &cam, &palette, SELF_USER);
+        oracle::render_anaglyph(&mut want, &cam, &cloned_lines(&frame, &palette, SELF_USER));
+        assert!(fb.rgb_bytes() == want.rgb_bytes(), "colour differs");
+        assert!(depth_bits(&fb) == want.depth_bits(), "depth differs");
+        cam.head.position += Vec3::new(0.5, 0.0, 0.0);
+    }
+    assert!(fb.count_pixels(|c| c.r > 0) > 1000 && fb.count_pixels(|c| c.b > 0) > 1000);
+}

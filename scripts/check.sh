@@ -92,17 +92,20 @@ PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test po
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test lattice
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 seed=$(date +%s%N)
-echo "wire and field codecs, streak pair, frame-ahead twins: fresh PROPTEST_SEED=$seed"
+echo "wire and field codecs, renderer, streak pair, frame-ahead twins: fresh PROPTEST_SEED=$seed"
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --test codec_roundtrip
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test lattice
+PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-vr -p dvw-windtunnel --test render_equiv
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test streak_equiv
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --lib frame_ahead_twin
 # Renderer: the concurrent two-eye anaglyph (and the client's display path
 # over borrowed paths) bit-identical to the sequential oracle, every
-# colour byte and Z bit; then the committed golden PPMs (six from
-# `figures`, one from the quickstart example) reproduced byte for byte.
+# colour byte and Z bit, over frames whose clears touch only what was
+# drawn (also at the fresh seed above); then the committed golden PPMs
+# (six from `figures`, one from the quickstart example) reproduced byte
+# for byte.
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-vr -p dvw-windtunnel --test render_equiv
 root=$(pwd)
 figs=$(mktemp -d)

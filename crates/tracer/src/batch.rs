@@ -24,8 +24,11 @@
 //! * [`trace_batch_vector_parallel`] — the proposed hybrid: rayon across
 //!   groups of [`VECTOR_GROUP`] streamlines, lockstep within each group.
 //!
-//! The server runs [`trace_batch_physical`]: [`streamline_physical`]
-//! (two field accesses per RK2 step, mapped in the same sweep) per thread.
+//! The server runs [`streamline_physical`] (two field accesses per RK2
+//! step, mapped in the same sweep) one seed after another, a block of
+//! seeds per job of its frame's flat fan-out (`windtunnel::compute`).
+//! [`trace_batch_physical`] is that kernel across seeds with rayon:
+//! Table 3's production row.
 
 use crate::domain::Domain;
 use crate::streamline::{streamline, streamline_physical, TraceConfig};

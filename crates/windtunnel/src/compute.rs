@@ -22,8 +22,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use storage::{elapsed_us, TimestepStore};
 use tracer::{
-    trace_batch_physical, AdvanceStats, Domain, Integrator, Polyline, Streakline, StreaklineConfig,
-    ToolKind, TraceConfig,
+    streamline_physical, AdvanceStats, Domain, Integrator, Streakline, StreaklineConfig, ToolKind,
+    TraceConfig,
 };
 use vecmath::Vec3;
 
@@ -168,7 +168,16 @@ impl ToolEngines {
                 .entry(id)
                 .or_insert_with(|| Streakline::new(seeds.clone(), *cfg));
             streak.set_seeds(seeds);
-            total.accumulate(streak.advance_batch(pair, domain));
+        }
+        // One job per rake. A lone rake runs on this thread, so a pool
+        // past the particle split threshold still splits.
+        let streaks: Vec<&mut Streakline> = self.streaks.values_mut().collect();
+        let advanced: Vec<AdvanceStats> = streaks
+            .into_par_iter()
+            .map(|streak| streak.advance_batch(pair, domain))
+            .collect();
+        for stats in advanced {
+            total.accumulate(stats);
         }
         Ok(total)
     }
@@ -414,9 +423,19 @@ impl GeometryCache {
                 break;
             }
             let key = geom_key(entry.geom_rev(), fetched.1, ToolKind::Streamline, cfg, 0);
+            // Each rake is one flat stage of seed blocks, timed by its
+            // wall clock (the governor adds it to the frame's). Traced
+            // serially, 200 seeds outlast the link's wait and run into
+            // the client's decode and render on the same cores.
+            let t0 = Instant::now();
             let seeds = entry.rake.seeds();
-            let (paths, us) = trace_streamlines(&fetched.0, grid, domain, id, &seeds, &cfg.trace);
-            rakes.push((id, key, paths, us));
+            let blocks: Vec<&[Vec3]> = seeds.chunks(SEED_BLOCK).collect();
+            let traced: Vec<(Vec<PathMsg>, u64)> = blocks
+                .into_par_iter()
+                .map(|b| trace_streamlines(&fetched.0, grid, domain, id, b, &cfg.trace))
+                .collect();
+            let paths = traced.into_iter().flat_map(|(paths, _)| paths).collect();
+            rakes.push((id, key, paths, elapsed_us(t0)));
         }
         let traced = rakes.len() as u64;
         self.ahead = Some(AheadSlot {
@@ -430,16 +449,19 @@ impl GeometryCache {
 }
 
 /// Timings and cache counters from one [`compute_frame_cached`] call.
-/// Stage times are summed across rakes, so under the parallel fan-out
-/// they measure CPU work, not wall-clock.
+/// Stage times are CPU sums across the fan-out's jobs (seed blocks and
+/// rakes), not wall clock: under two threads they read up to twice the
+/// stage's wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameComputeStats {
     /// Current-timestep field fetch, microseconds.
     pub fetch_us: u64,
-    /// Path integration (streamlines, pathlines, streak snapshot), µs.
-    /// Streamlines are mapped to physical space inside this sweep.
+    /// Path integration (streamlines, pathlines, streak snapshot), µs
+    /// summed across jobs. Streamlines are mapped to physical space
+    /// inside this sweep.
     pub integrate_us: u64,
-    /// Grid→physical mapping of pathlines and streak filaments, µs.
+    /// Grid→physical mapping of pathlines and streak filaments, µs
+    /// summed across jobs.
     pub map_us: u64,
     /// Rakes served from the geometry cache.
     pub geom_hits: u32,
@@ -449,14 +471,19 @@ pub struct FrameComputeStats {
     /// timestep because the requested one could not be read.
     pub substituted_fetches: u32,
     /// Misses served by paths traced ahead; counted in `geom_misses` too,
-    /// and their trace time in `integrate_us`.
+    /// and their trace's wall time in `integrate_us`.
     pub ahead_adopted: u32,
-    /// Fetch and trace microseconds the adopted ahead work took.
+    /// Fetch and trace wall microseconds the adopted ahead work took.
     pub ahead_us: u64,
 }
 
-/// One streamline rake traced in `field` with the production kernel:
-/// its wire paths and the trace's microseconds.
+/// Seeds per streamline job in [`update_geometry`]'s fan-out: a 100-seed
+/// rake becomes 13 jobs that balance against the smoke rakes' jobs.
+pub const SEED_BLOCK: usize = 8;
+
+/// Streamlines from `seeds` traced one after another in `field` with the
+/// production kernel: their wire paths and the trace's microseconds.
+/// Seeds outside the domain yield no path.
 fn trace_streamlines(
     field: &VectorField,
     grid: &CurvilinearGrid,
@@ -466,8 +493,9 @@ fn trace_streamlines(
     trace: &TraceConfig,
 ) -> (Vec<PathMsg>, u64) {
     let t0 = Instant::now();
-    let paths = trace_batch_physical(field, grid, domain, seeds, trace)
-        .into_iter()
+    let paths = seeds
+        .iter()
+        .filter_map(|&s| streamline_physical(field, grid, domain, s, trace))
         .map(|points| PathMsg {
             rake_id: id,
             kind: PathKind::Streamline,
@@ -477,13 +505,23 @@ fn trace_streamlines(
     (paths, elapsed_us(t0))
 }
 
-/// One cache miss queued for re-tracing: rake id, the new cache key,
-/// the seed points, the tool, and (for streaklines) the pre-extracted
-/// filament snapshot.
-type GeomMiss = (RakeId, GeomKey, Vec<Vec3>, ToolKind, Vec<Polyline>);
+/// One job of [`update_geometry`]'s fan-out.
+enum Job<'a> {
+    /// A block of a streamline rake's seeds.
+    Streamlines(&'a [Vec3]),
+    /// A pathline rake's seeds.
+    Pathlines(&'a [Vec3]),
+    /// A streak rake's particle system, read out as filaments.
+    Streak(&'a mut Streakline),
+}
+
+/// A traced rake: id, cache key, paths, integrate and map µs.
+type Traced = (RakeId, GeomKey, Vec<PathMsg>, u64, u64);
 
 /// Bring `cache` up to date with `env`, re-tracing only rakes whose cache
-/// key changed and fanning the misses out across threads. The returned
+/// key changed. The misses become one flat job list — seed blocks of
+/// streamline rakes, whole pathline and streak rakes — that the threads
+/// claim one job at a time; blocks merge back in seed order. The returned
 /// frame's `paths` are empty: the server splices them from its chunks.
 ///
 /// `timestep` is the integer timestep to visualize (from the time
@@ -520,8 +558,8 @@ pub fn update_geometry(
 
     let streak_epoch = engines.epoch;
     let mut rakes = Vec::new();
-    let mut misses: Vec<GeomMiss> = Vec::new();
-    let mut adopted = Vec::new();
+    let mut misses: Vec<(RakeId, GeomKey, ToolKind, Vec<Vec3>)> = Vec::new();
+    let mut adopted: Vec<Traced> = Vec::new();
     for (id, entry) in env.rakes() {
         let rake = &entry.rake;
         // Rake state for client rendering (physical endpoints; endpoints
@@ -558,48 +596,46 @@ pub fn update_geometry(
                 if let Some((_, _, paths, us)) = traced_ahead {
                     stats.ahead_adopted += 1;
                     stats.ahead_us += us;
-                    adopted.push(Ok((id, key, paths, us, 0)));
+                    adopted.push((id, key, paths, us, 0));
                     continue;
                 }
-                // Streak filaments are extracted here, before the
-                // parallel fan-out: the pull is a cheap sorted copy out
-                // of the particle pool (into reusable scratch), and the
-                // buffers then move through physical mapping straight
-                // into the wire messages — no intermediate point vector.
-                let filaments = if rake.tool == ToolKind::Streakline {
-                    let t0 = Instant::now();
-                    let mut fils = Vec::new();
-                    if let Some(streak) = engines.streaks.get_mut(&id) {
-                        streak.filaments_into(&mut fils);
-                    }
-                    stats.integrate_us += elapsed_us(t0);
-                    fils
-                } else {
-                    Vec::new()
-                };
-                misses.push((id, key, rake.seeds(), rake.tool, filaments));
+                misses.push((id, key, rake.tool, rake.seeds()));
             }
         }
     }
     cache.hits += u64::from(stats.geom_hits);
     cache.misses += u64::from(stats.geom_misses);
 
-    // Re-trace stale rakes in parallel; each job reports its own
-    // integrate/map split.
-    type Traced = (RakeId, GeomKey, Vec<PathMsg>, u64, u64);
-    let traced: Vec<Result<Traced, FieldError>> = misses
+    // The job list, each job tagged with its miss. Whole rakes go first:
+    // they are the longest jobs, and the short seed blocks fill in
+    // behind them.
+    let mut streaks: HashMap<RakeId, &mut Streakline> =
+        engines.streaks.iter_mut().map(|(id, s)| (*id, s)).collect();
+    let mut jobs: Vec<(usize, Job)> = Vec::new();
+    for (m, (id, _, tool, seeds)) in misses.iter().enumerate() {
+        match tool {
+            ToolKind::Streamline => {
+                jobs.extend(seeds.chunks(SEED_BLOCK).map(|b| (m, Job::Streamlines(b))));
+            }
+            ToolKind::ParticlePath => jobs.push((m, Job::Pathlines(seeds))),
+            ToolKind::Streakline => jobs.extend(streaks.remove(id).map(|s| (m, Job::Streak(s)))),
+        }
+    }
+    jobs.sort_by_key(|(_, job)| matches!(job, Job::Streamlines(_)));
+    let done: Vec<_> = jobs
         .into_par_iter()
-        .map(|(id, key, seeds, tool, filaments)| {
+        .map(|(m, job)| -> Result<_, FieldError> {
+            let id = misses[m].0;
             let mut integrate_us = 0u64;
             let mut map_us = 0u64;
             let mut paths = Vec::new();
-            match tool {
-                ToolKind::Streamline => {
+            match job {
+                Job::Streamlines(seeds) => {
                     (paths, integrate_us) =
-                        trace_streamlines(&field, grid, domain, id, &seeds, &cfg.trace);
+                        trace_streamlines(&field, grid, domain, id, seeds, &cfg.trace);
                 }
-                ToolKind::ParticlePath => {
-                    for seed in seeds {
+                Job::Pathlines(seeds) => {
+                    for &seed in seeds {
                         let t0 = Instant::now();
                         let line = pathline_over_store(
                             store,
@@ -623,10 +659,14 @@ pub fn update_geometry(
                         map_us += elapsed_us(t1);
                     }
                 }
-                ToolKind::Streakline => {
-                    // Filaments were pulled from the particle system
-                    // before the fan-out; map each buffer to physical
-                    // space in place and hand it to the wire message.
+                Job::Streak(streak) => {
+                    // A sorted copy out of the particle pool, then each
+                    // buffer is mapped to physical space in place and
+                    // handed to its wire message: no intermediate vector.
+                    let t0 = Instant::now();
+                    let mut filaments = Vec::new();
+                    streak.filaments_into(&mut filaments);
+                    integrate_us = elapsed_us(t0);
                     let t1 = Instant::now();
                     for mut filament in filaments {
                         grid.path_to_physical_in_place(&mut filament);
@@ -639,14 +679,24 @@ pub fn update_geometry(
                             points: filament,
                         });
                     }
-                    map_us += elapsed_us(t1);
+                    map_us = elapsed_us(t1);
                 }
             }
-            Ok((id, key, paths, integrate_us, map_us))
+            Ok((m, paths, integrate_us, map_us))
         })
         .collect();
-    for result in adopted.into_iter().chain(traced) {
-        let (id, key, paths, integrate_us, map_us) = result?;
+    let mut traced: Vec<Traced> = misses
+        .into_iter()
+        .map(|(id, key, _, _)| (id, key, Vec::new(), 0, 0))
+        .collect();
+    for job in done {
+        let (m, mut paths, integrate_us, map_us) = job?;
+        let rake = &mut traced[m];
+        rake.2.append(&mut paths);
+        rake.3 += integrate_us;
+        rake.4 += map_us;
+    }
+    for (id, key, paths, integrate_us, map_us) in adopted.into_iter().chain(traced) {
         stats.integrate_us += integrate_us;
         stats.map_us += map_us;
         cache.next_stamp += 1;

@@ -21,6 +21,7 @@ use bytes::{Bytes, BytesMut};
 use dlib::wire::{put_point_path, WireReader, WireWrite};
 use dlib::{DlibError, Payload, Result};
 use flowfield::Dims;
+use rayon::IntoParallelIterator;
 use std::ops::RangeInclusive;
 use tracer::ToolKind;
 use vecmath::{Aabb, Pose, Quat, Vec3};
@@ -778,6 +779,10 @@ pub struct RakeChunkMsg {
     pub paths: Vec<PathMsg>,
 }
 
+/// Paths per encode job in [`RakeChunkMsg::encode_many`]: a 100-path
+/// streamline chunk splits into 7 jobs, a 50-filament smoke chunk into 4.
+pub const PATH_BLOCK: usize = 16;
+
 impl RakeChunkMsg {
     /// Encoded bytes before the first path: id, content rev, path count.
     const HEADER_LEN: usize = 16;
@@ -803,12 +808,59 @@ impl RakeChunkMsg {
         content_rev: u64,
         paths: &[PathMsg],
     ) {
-        b.put_u32_le_(rake_id);
-        b.put_u64_le_(content_rev);
-        b.put_len_(paths.len());
+        Self::put_header(b, rake_id, content_rev, paths.len());
         for p in paths {
             put_path(b, lattice, p);
         }
+    }
+
+    fn put_header(b: &mut BytesMut, rake_id: RakeId, content_rev: u64, n_paths: usize) {
+        b.put_u32_le_(rake_id);
+        b.put_u64_le_(content_rev);
+        b.put_len_(n_paths);
+    }
+
+    /// [`encode_parts`](Self::encode_parts) for many rakes at one
+    /// `content_rev`, as one parallel stage: every rake's paths are cut
+    /// into blocks of [`PATH_BLOCK`], the blocks are encoded on all cores,
+    /// and each chunk is its header followed by its blocks in order —
+    /// the same bytes, since path encodings concatenate.
+    pub fn encode_many(
+        lattice: Lattice,
+        content_rev: u64,
+        rakes: &[(RakeId, &[PathMsg])],
+    ) -> Vec<Bytes> {
+        let blocks: Vec<&[PathMsg]> = rakes
+            .iter()
+            .flat_map(|(_, paths)| paths.chunks(PATH_BLOCK))
+            .collect();
+        let encoded: Vec<BytesMut> = blocks
+            .into_par_iter()
+            .map(|block| {
+                let mut b = BytesMut::new();
+                for p in block {
+                    put_path(&mut b, lattice, p);
+                }
+                b
+            })
+            .collect();
+        let mut encoded = encoded.into_iter();
+        rakes
+            .iter()
+            .map(|&(rake_id, paths)| {
+                let blocks: Vec<BytesMut> = encoded
+                    .by_ref()
+                    .take(paths.len().div_ceil(PATH_BLOCK))
+                    .collect();
+                let len = blocks.iter().map(|b| b.len()).sum::<usize>();
+                let mut b = BytesMut::with_capacity(Self::HEADER_LEN + len);
+                Self::put_header(&mut b, rake_id, content_rev, paths.len());
+                for block in blocks {
+                    b.extend_from_slice(&block);
+                }
+                b.freeze()
+            })
+            .collect()
     }
 
     fn decode_from(
@@ -962,7 +1014,7 @@ fn rope(b: BytesMut, split: usize, blobs: impl Iterator<Item = Bytes>) -> Payloa
 }
 
 /// Assemble a [`DeltaFrame`] reply around *pre-encoded* chunk blobs (each
-/// produced by [`RakeChunkMsg::encode_parts`] on `lattice`): the server
+/// the bytes [`RakeChunkMsg::encode_parts`] writes on `lattice`): the server
 /// encodes a chunk once per content change and every reply that needs it
 /// carries the cached bytes themselves. Concatenated, the rope is byte-identical to
 /// `DeltaFrame::encode` on the equivalent typed value.
@@ -1027,9 +1079,12 @@ pub struct FrameStats {
     pub revision: u64,
     /// Timestep fetch / interpolation setup, microseconds.
     pub fetch_us: u64,
-    /// Streamline / particle-path integration, microseconds.
+    /// Streamline / particle-path integration, microseconds: a CPU sum
+    /// across the frame's parallel jobs (seed blocks and rakes), so it
+    /// can exceed the stage's wall time.
     pub integrate_us: u64,
-    /// Grid→physical mapping of computed paths, microseconds.
+    /// Grid→physical mapping of computed paths, microseconds, summed
+    /// across jobs like `integrate_us`.
     pub map_us: u64,
     /// Wire encoding of the frame, microseconds.
     pub encode_us: u64,

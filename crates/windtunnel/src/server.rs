@@ -19,10 +19,10 @@ use crate::governor::FrameGovernor;
 use crate::interaction::{process_hand, HandStates, InteractionConfig};
 use crate::proto::{
     splice_delta, splice_frame, Command, DeltaRequest, FrameRequest, FrameStats, GeometryFrame,
-    HelloReply, RakeChunkMsg, TimeCommand, PROC_COMMAND, PROC_FRAME, PROC_FRAME_DELTA, PROC_HELLO,
-    PROC_STATS,
+    HelloReply, PathMsg, RakeChunkMsg, TimeCommand, PROC_COMMAND, PROC_FRAME, PROC_FRAME_DELTA,
+    PROC_HELLO, PROC_STATS,
 };
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dlib::server::{DlibServer, ServerConfig, ServerHandle, Session, SessionEvent};
 use dlib::wire::len_u32;
 use dlib::Payload;
@@ -394,30 +394,28 @@ impl ServerState {
         let live: Vec<RakeId> = frame.rakes.iter().map(|r| r.id).collect();
         self.chunk_cache.retain(|id, _| live.contains(id));
         let started = Instant::now();
-        let mut encoded = 0u64;
-        for id in live {
-            let Some((paths, stamp)) = self.geom_cache.rake_geometry(id) else {
-                continue;
+        let (stale, stamps): (Vec<(RakeId, &[PathMsg])>, Vec<u64>) = live
+            .into_iter()
+            .filter_map(|id| {
+                let (paths, stamp) = self.geom_cache.rake_geometry(id)?;
+                let fresh = self.chunk_cache.get(&id).map(|e| e.stamp) == Some(stamp);
+                (!fresh).then_some(((id, paths), stamp))
+            })
+            .unzip();
+        if stale.is_empty() {
+            return;
+        }
+        let chunks = RakeChunkMsg::encode_many(lattice, revision, &stale);
+        for ((&(id, _), stamp), bytes) in stale.iter().zip(stamps).zip(chunks) {
+            let entry = ChunkEntry {
+                stamp,
+                content_rev: revision,
+                bytes,
             };
-            if self.chunk_cache.get(&id).map(|e| e.stamp) == Some(stamp) {
-                continue;
-            }
-            let mut b = BytesMut::new();
-            RakeChunkMsg::encode_parts(&mut b, lattice, id, revision, paths);
-            self.chunk_cache.insert(
-                id,
-                ChunkEntry {
-                    stamp,
-                    content_rev: revision,
-                    bytes: b.freeze(),
-                },
-            );
-            encoded += 1;
+            self.chunk_cache.insert(id, entry);
         }
-        if encoded > 0 {
-            self.stats.chunk_encode_us = elapsed_us(started);
-            self.stats.cum_chunk_encodes += encoded;
-        }
+        self.stats.chunk_encode_us = elapsed_us(started);
+        self.stats.cum_chunk_encodes += stale.len() as u64;
     }
 
     /// React to transport-level load shedding since the last frame: each

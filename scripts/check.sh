@@ -92,11 +92,12 @@ PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test po
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test lattice
 PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 seed=$(date +%s%N)
-echo "wire and field codecs, renderer, streak pair, frame-ahead twins: fresh PROPTEST_SEED=$seed"
+echo "wire and field codecs, renderer, thread counts, streak pair, frame-ahead twins: fresh PROPTEST_SEED=$seed"
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-flowfield --test codec_roundtrip
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-dlib --test point_codec
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test lattice
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-vr -p dvw-windtunnel --test render_equiv
+PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test thread_count
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --test wire_fuzz
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-tracer --test streak_equiv
 PROPTEST_SEED=$seed PROPTEST_CASES=64 RUST_BACKTRACE=1 cargo test -q --release -p dvw-windtunnel --lib frame_ahead_twin

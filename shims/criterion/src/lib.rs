@@ -6,8 +6,11 @@
 //! and the `criterion_group!` / `criterion_main!` macros — with a
 //! simple wall-clock measurement loop instead of criterion's
 //! statistical machinery. Each benchmark self-calibrates its batch
-//! size, measures for ~`CRITERION_MEASURE_MS` (default 80 ms), and
-//! prints mean time per iteration plus derived throughput.
+//! size, measures batches for ~`CRITERION_MEASURE_MS` (default 80 ms),
+//! and prints the median time per iteration over the batches, its
+//! quartiles, and the derived throughput at the median. One mean over
+//! the whole budget hides the spread, and on a shared host two readings
+//! of the same build can differ by a third.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -61,9 +64,9 @@ impl From<String> for BenchmarkId {
     }
 }
 
-/// Runs the measurement loop and records mean ns/iteration.
+/// Runs the measurement loop and records ns/iteration per batch.
 pub struct Bencher {
-    ns_per_iter: f64,
+    batch_ns_per_iter: Vec<f64>,
 }
 
 impl Bencher {
@@ -84,17 +87,30 @@ impl Bencher {
         }
 
         let budget = measure_budget();
-        let mut iters: u64 = 0;
         let mut elapsed = Duration::ZERO;
-        while elapsed < budget {
+        self.batch_ns_per_iter.clear();
+        // At least five batches, so the quartiles are batches apart.
+        while elapsed < budget || self.batch_ns_per_iter.len() < 5 {
             let t = Instant::now();
             for _ in 0..batch {
                 std::hint::black_box(f());
             }
-            elapsed += t.elapsed();
-            iters += batch;
+            let dt = t.elapsed();
+            elapsed += dt;
+            self.batch_ns_per_iter
+                .push(dt.as_nanos() as f64 / batch as f64);
         }
-        self.ns_per_iter = elapsed.as_nanos() as f64 / iters as f64;
+    }
+
+    /// (first quartile, median, third quartile) over the batches.
+    fn quartiles(&mut self) -> (f64, f64, f64) {
+        let v = &mut self.batch_ns_per_iter;
+        if v.is_empty() {
+            return (0.0, 0.0, 0.0);
+        }
+        v.sort_by(f64::total_cmp);
+        let at = |q: f64| v[((v.len() - 1) as f64 * q).round() as usize];
+        (at(0.25), at(0.5), at(0.75))
     }
 }
 
@@ -110,25 +126,28 @@ fn human_time(ns: f64) -> String {
     }
 }
 
-fn report(group: Option<&str>, label: &str, ns_per_iter: f64, throughput: Option<Throughput>) {
+fn report(group: Option<&str>, label: &str, b: &mut Bencher, throughput: Option<Throughput>) {
     let full = match group {
         Some(g) => format!("{g}/{label}"),
         None => label.to_string(),
     };
+    let (q1, median, q3) = b.quartiles();
     let rate = match throughput {
         Some(Throughput::Bytes(bytes)) => {
-            let per_sec = bytes as f64 / (ns_per_iter / 1e9);
+            let per_sec = bytes as f64 / (median / 1e9);
             format!("  ({:.1} MiB/s)", per_sec / (1024.0 * 1024.0))
         }
         Some(Throughput::Elements(n)) => {
-            let per_sec = n as f64 / (ns_per_iter / 1e9);
+            let per_sec = n as f64 / (median / 1e9);
             format!("  ({per_sec:.0} elem/s)")
         }
         None => String::new(),
     };
     println!(
-        "bench: {full:<56} {:>12}/iter{rate}",
-        human_time(ns_per_iter)
+        "bench: {full:<56} {:>12}/iter  [{} .. {}]{rate}",
+        human_time(median),
+        human_time(q1),
+        human_time(q3),
     );
 }
 
@@ -136,9 +155,11 @@ fn run_one<F>(group: Option<&str>, label: &str, throughput: Option<Throughput>, 
 where
     F: FnOnce(&mut Bencher),
 {
-    let mut b = Bencher { ns_per_iter: 0.0 };
+    let mut b = Bencher {
+        batch_ns_per_iter: Vec::new(),
+    };
     f(&mut b);
-    report(group, label, b.ns_per_iter, throughput);
+    report(group, label, &mut b, throughput);
 }
 
 /// Top-level harness handle; holds no state in the shim.

@@ -5,14 +5,20 @@
 //! `for_each` and `collect`, plus `ThreadPoolBuilder::install` for
 //! thread-count ablations — on top of `std::thread::scope`.
 //!
-//! Unlike real rayon there is no work-stealing pool: each parallel stage
-//! eagerly splits its input into one contiguous chunk per thread and
-//! joins in order, so results are deterministic and ordering matches the
-//! sequential semantics rayon guarantees for indexed iterators. For the
-//! frame-sized batches this workspace runs (dozens of rakes, thousands of
-//! seeds) chunk-per-thread is within noise of a real pool.
+//! Unlike real rayon there is no persistent work-stealing pool: each
+//! parallel stage spawns its workers and joins them before returning, and
+//! the workers claim items one at a time from a shared cursor, so an item
+//! list of uneven costs (a 100-seed rake beside four smoke rakes) still
+//! balances. Results come back in input order, as rayon guarantees for
+//! indexed iterators, and a panicking item panics the caller. A stage of
+//! zero or one item, or one started under `install` with one thread, runs
+//! on the caller's thread and spawns nothing. A stage started inside a
+//! worker runs serially on that worker: stages never nest, so no stage
+//! ever holds more threads than the machine has cores.
 
 use std::cell::Cell;
+use std::panic;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread;
 
 thread_local! {
@@ -20,48 +26,65 @@ thread_local! {
     static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Effective parallelism for stages started on this thread.
+/// Effective parallelism for stages started on this thread. The machine's
+/// count is read once, as a real pool sizes itself once: on Linux
+/// `available_parallelism` reads cgroup files, ≈ 20 µs a call.
 pub fn current_num_threads() -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
     POOL_THREADS.with(|c| c.get()).unwrap_or_else(|| {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        *MACHINE.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
     })
 }
 
-/// Parallel-map `items` through `f`, preserving input order.
+/// Parallel-map `items` through `f`, preserving input order. The caller
+/// is one of the workers.
 fn pmap<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    let threads = current_num_threads().min(items.len());
+    let len = items.len();
+    let threads = current_num_threads().min(len);
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
-    // Contiguous chunks, one per thread, sized as evenly as possible.
-    let len = items.len();
-    let base = len / threads;
-    let extra = len % threads;
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut it = items.into_iter();
-    for i in 0..threads {
-        let take = base + usize::from(i < extra);
-        chunks.push(it.by_ref().take(take).collect());
-    }
-    let f = &f;
-    let per_chunk: Vec<Vec<U>> = thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| s.spawn(move || chunk.into_iter().map(f).collect::<Vec<U>>()))
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    // Claims the next item; the guard drops before the item runs.
+    let claim = || cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let work = || {
+        let mut done = Vec::new();
+        while let Some((i, item)) = claim() {
+            done.push((i, f(item)));
+        }
+        done
+    };
+    let mut slots: Vec<Option<U>> = (0..len).map(|_| None).collect();
+    thread::scope(|s| {
+        let handles: Vec<_> = (1..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    POOL_THREADS.with(|c| c.set(Some(1)));
+                    work()
+                })
+            })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
+        let own = POOL_THREADS.with(|c| c.replace(Some(1)));
+        let mine = panic::catch_unwind(panic::AssertUnwindSafe(&work));
+        POOL_THREADS.with(|c| c.set(own));
+        let mut results = vec![mine];
+        results.extend(handles.into_iter().map(|h| h.join()));
+        for result in results {
+            let done = result.unwrap_or_else(|payload| panic::resume_unwind(payload));
+            for (i, u) in done {
+                slots[i] = Some(u);
+            }
+        }
     });
-    per_chunk.into_iter().flatten().collect()
+    slots
+        .into_iter()
+        .map(|u| u.expect("every item is claimed exactly once"))
+        .collect()
 }
 
 /// An eagerly evaluated "parallel iterator": adapters run the parallel
@@ -196,7 +219,8 @@ impl ThreadPoolBuilder {
 }
 
 /// A "pool" that scopes a thread-count override: parallel stages started
-/// inside `install` split into at most `num_threads` chunks.
+/// inside `install` run on at most `num_threads` threads, the caller's
+/// among them.
 pub struct ThreadPool {
     num_threads: Option<usize>,
 }
@@ -249,5 +273,108 @@ mod tests {
         assert_eq!(n, 2);
         // Override is scoped.
         assert!(super::current_num_threads() >= 1);
+    }
+
+    fn pool(n: usize) -> super::ThreadPool {
+        super::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn uneven_items_keep_order_and_run_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let runs: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(0)).collect();
+        let out: Vec<usize> = pool(3).install(|| {
+            (0..40)
+                .into_par_iter()
+                .map(|i| {
+                    // One long item up front, the rest short or free.
+                    let spins = if i == 0 { 2_000_000 } else { (i % 5) * 20_000 };
+                    std::hint::black_box((0..spins).fold(0usize, |a, x| a ^ x));
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    i * 3
+                })
+                .collect()
+        });
+        assert_eq!(out, (0..40).map(|i| i * 3).collect::<Vec<_>>());
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn panicking_item_panics_the_caller() {
+        for threads in [1, 2, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                pool(threads).install(|| {
+                    (0..8)
+                        .into_par_iter()
+                        .map(|i| assert_ne!(i, 5, "item five"))
+                        .collect::<Vec<()>>()
+                })
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(msg.contains("item five"), "payload kept: {msg:?}");
+        }
+        // The caller's own override is restored after its item panicked.
+        let n = pool(2).install(|| {
+            let _ = std::panic::catch_unwind(|| {
+                (0..2).into_par_iter().for_each(|_| panic!("both items"));
+            });
+            super::current_num_threads()
+        });
+        assert_eq!(n, 2);
+    }
+
+    #[test]
+    fn one_thread_runs_on_the_caller() {
+        let me = std::thread::current().id();
+        let ids: Vec<_> = pool(1).install(|| {
+            (0..16)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect()
+        });
+        assert!(ids.iter().all(|&id| id == me));
+    }
+
+    #[test]
+    fn empty_and_single_stages_spawn_nothing() {
+        let me = std::thread::current().id();
+        pool(4).install(|| {
+            let none: Vec<std::thread::ThreadId> = Vec::<u8>::new()
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect();
+            assert!(none.is_empty());
+            let one: Vec<_> = [7u8]
+                .par_iter()
+                .map(|_| (std::thread::current().id(), super::current_num_threads()))
+                .collect();
+            // The lone item runs on the caller, which keeps its threads
+            // for any stage the item starts.
+            assert_eq!(one, vec![(me, 4)]);
+        });
+    }
+
+    #[test]
+    fn stages_do_not_nest() {
+        let inner: Vec<Vec<bool>> = pool(2).install(|| {
+            (0..6)
+                .into_par_iter()
+                .map(|_| {
+                    let outer = std::thread::current().id();
+                    (0..4)
+                        .into_par_iter()
+                        .map(|_| std::thread::current().id() == outer)
+                        .collect()
+                })
+                .collect()
+        });
+        assert!(inner.iter().flatten().all(|&same| same));
     }
 }
